@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import complexes, properties
-from .complexes import Complex, FaceCountError, cone, from_facets, join, parse, skeleton, to_json
+from .complexes import Complex, FaceCountError, cone, join, parse, skeleton, to_json
 from .constructions import (corpus, export_corpus, named, product,
                             stacked_sphere)
 from .homology import betti
@@ -69,11 +69,8 @@ def _emit_text(data, indent=0) -> None:
 def _read_complex_file(path: str) -> Complex:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".json"):
-        data = json.loads(text)
-        if not isinstance(data, dict) or "facets" not in data:
-            raise ValueError('expected an object with a "facets" key')
-        return from_facets(data["facets"])
+    if path.endswith(".json") and not text.lstrip().startswith("{"):
+        raise ValueError('expected an object with a "facets" key')
     return parse(text)
 
 
@@ -168,13 +165,14 @@ def cmd_verify(args) -> int:
     else:
         import os
 
+        files = [fn for fn in sorted(os.listdir(args.corpus))
+                 if os.path.isfile(os.path.join(args.corpus, fn))]
+        if not files:
+            raise ValueError(f"no complex files in {args.corpus}")
         entries = []
-        for fn in sorted(os.listdir(args.corpus)):
-            p = os.path.join(args.corpus, fn)
-            if not os.path.isfile(p):
-                continue
+        for fn in files:
             try:
-                entries.append((fn, _read_complex_file(p)))
+                entries.append((fn, _read_complex_file(os.path.join(args.corpus, fn))))
             except Exception as exc:  # corrupted entries are reported, not fatal
                 broken.append(f"{fn}: {exc}")
         results = run_battery(entries, fields=fields, seed=args.seed)

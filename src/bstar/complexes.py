@@ -360,6 +360,8 @@ def predicates(c: Complex) -> Predicates:
 
 # -- file format ------------------------------------------------------
 
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
 
 def parse(text: str) -> Complex:
     """Parse the canonical JSON facet format, or plain text (one facet
@@ -369,7 +371,13 @@ def parse(text: str) -> Complex:
         data = json.loads(text)
         if not isinstance(data, dict) or "facets" not in data:
             raise ValueError('expected an object with a "facets" key')
-        return from_facets(data["facets"])
+        facets = data["facets"]
+        if not (isinstance(facets, list)
+                and all(isinstance(f, list) and all(isinstance(x, _JSON_SCALARS) for x in f)
+                        for f in facets)):
+            raise ValueError('"facets" must be a list of lists of vertex labels '
+                             '(strings, numbers, booleans or null)')
+        return from_facets(facets)
     facets = []
     for line in text.splitlines():
         parts = line.split()

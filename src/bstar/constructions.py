@@ -21,7 +21,6 @@ from .properties import is_buchsbaum_star, is_homology_manifold
 __all__ = [
     "named",
     "corpus",
-    "corpus_names",
     "simplex",
     "simplex_boundary",
     "cross_polytope",
@@ -199,10 +198,6 @@ def named(name: str) -> Complex:
     if m:
         return _NAMED_PARAM[m.group(1)](int(m.group(2)))
     raise ValueError(f"unknown name: {name!r}")
-
-
-def corpus_names() -> list[str]:
-    return [name for name, _ in corpus()]
 
 
 @lru_cache(maxsize=None)

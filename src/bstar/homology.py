@@ -1,9 +1,15 @@
 """Reduced simplicial homology over a field, for complexes and pairs.
 
 Chain groups are spanned by the faces of each dimension, including the
-empty face in dimension -1 (so every Betti number below is reduced).
-Faces are ordered by their sorted vertex tuples; the boundary of a face
-drops its k-th smallest vertex with sign (-1)^k.
+empty face as the single (-1)-cell, so every Betti number below is
+reduced.  Faces are ordered by their sorted vertex tuples; the boundary
+of a face drops its k-th smallest vertex with sign (-1)^k.
+
+`_boundary` is the one builder of boundary maps.  It gives sparse columns
+in the format of `linalg`, for a whole complex or for the cells that a
+predicate keeps (those outside a subcomplex, for a pair; those that
+contain a face, for a star), and every rank, cycle basis and span test
+goes to the sparse entry points of `linalg`.
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import Complex, _tuple_of
-from .linalg import FieldSpec, in_column_space, nullspace_basis, rank
+from .complexes import Complex
+from .linalg import FieldSpec, sparse_in_span, sparse_nullspace, sparse_rank
 
 __all__ = [
     "BettiTable",
@@ -43,44 +49,42 @@ class BettiTable:
         return self.betti[-1]
 
 
-@lru_cache(maxsize=None)
-def _chain(c: Complex):
-    """Faces per dimension plus boundary matrices as integer row-lists."""
-    faces = {d: c.face_masks(d) for d in range(0, c.dim + 1)}
-    index = {d: {m: j for j, m in enumerate(faces[d])} for d in faces}
-    boundaries: dict[int, list[list[int]]] = {}
-    if 0 in faces:
-        boundaries[0] = [[1] * len(faces[0])]
-    for d in range(1, c.dim + 1):
-        rows = [[0] * len(faces[d]) for _ in faces[d - 1]]
-        idx = index[d - 1]
-        for j, m in enumerate(faces[d]):
-            verts = _tuple_of(m)
-            for pos, v in enumerate(verts):
-                rows[idx[m & ~(1 << v)]][j] = -1 if pos % 2 else 1
-        boundaries[d] = rows
-    return faces, index, boundaries
+def _boundary(c: Complex, d: int, keep=None):
+    """The boundary map from the d-cells to the (d-1)-cells of c, as
+    sparse columns (see `linalg`), with the two cell lists.
+
+    With `keep`, only the cells whose masks it accepts are used: for a
+    pair, the cells outside the subcomplex; for a star, the cells that
+    contain the face.
+    """
+    cells = [m for m in c.face_masks(d) if keep is None or keep(m)]
+    rows = [m for m in c.face_masks(d - 1) if keep is None or keep(m)]
+    index = {m: i for i, m in enumerate(rows)}
+    columns = []
+    for m in cells:
+        col, sign, rest = {}, 1, m
+        while rest:
+            bit = rest & -rest
+            i = index.get(m ^ bit)
+            if i is not None:
+                col[i] = sign
+            sign, rest = -sign, rest ^ bit
+        columns.append(col)
+    return columns, cells, rows
 
 
 @lru_cache(maxsize=None)
 def _boundary_rank(c: Complex, field: FieldSpec, i: int) -> int:
-    _, _, boundaries = _chain(c)
-    if i not in boundaries:
-        return 0
-    return rank(boundaries[i], field)
-
-
-def _face_count(c: Complex, i: int) -> int:
-    if i == -1:
-        return 1
-    return len(c.face_masks(i))
+    columns, _, rows = _boundary(c, i)
+    return sparse_rank(columns, len(rows), field)
 
 
 def betti_at(c: Complex, field: FieldSpec, i: int) -> int:
     """Single reduced Betti number; 0 outside -1..dim."""
     if i < -1 or i > c.dim:
         return 0
-    return _face_count(c, i) - _boundary_rank(c, field, i) - _boundary_rank(c, field, i + 1)
+    return (len(c.face_masks(i)) - _boundary_rank(c, field, i)
+            - _boundary_rank(c, field, i + 1))
 
 
 @lru_cache(maxsize=None)
@@ -96,38 +100,31 @@ def reduced_euler_characteristic(c: Complex) -> int:
 # -- pairs -------------------------------------------------------------
 
 
-def _embedded_face_set(a: Complex, c: Complex) -> set[int]:
-    """Masks (w.r.t. c) of all faces of the subcomplex a; validates inclusion."""
+def _vertex_map(a: Complex, c: Complex) -> list[int]:
+    """Index in c of each vertex of the subcomplex a; validates inclusion."""
     try:
-        vmap = {i: c.index_of_label(lab) for i, lab in enumerate(a.labels)}
+        vmap = [c.index_of_label(lab) for lab in a.labels]
     except ValueError as exc:
         raise ValueError("not a subcomplex: label missing from the ambient complex") from exc
-    out = {0}
-    for d in range(0, a.dim + 1):
-        for m in a.face_masks(d):
-            em = 0
-            for v in _tuple_of(m):
-                em |= 1 << vmap[v]
-            out.add(em)
     for fm in a.facets:
         if not c.is_face(vmap[v] for v in fm):
             raise ValueError("not a subcomplex: facet missing from the ambient complex")
+    return vmap
+
+
+def _embed(mask: int, vmap: list[int]) -> int:
+    out = 0
+    while mask:
+        bit = mask & -mask
+        out |= 1 << vmap[bit.bit_length() - 1]
+        mask ^= bit
     return out
 
 
-def _relative_boundary(c: Complex, excluded: set[int], d: int):
-    """Boundary matrix of the pair in dimension d (rows: (d-1)-cells kept)."""
-    cells_d = [m for m in c.face_masks(d) if m not in excluded]
-    cells_dm1 = [m for m in c.face_masks(d - 1) if m not in excluded]
-    idx = {m: i for i, m in enumerate(cells_dm1)}
-    rows = [[0] * len(cells_d) for _ in cells_dm1]
-    for j, m in enumerate(cells_d):
-        for pos, v in enumerate(_tuple_of(m)):
-            sub = m & ~(1 << v)
-            i = idx.get(sub)
-            if i is not None:
-                rows[i][j] = -1 if pos % 2 else 1
-    return rows, cells_d, cells_dm1
+def _embedded_face_set(a: Complex, c: Complex) -> set[int]:
+    """Masks (w.r.t. c) of all faces of the subcomplex a; validates inclusion."""
+    vmap = _vertex_map(a, c)
+    return {_embed(m, vmap) for d in range(-1, a.dim + 1) for m in a.face_masks(d)}
 
 
 def relative_betti(c: Complex, a: Complex, field: FieldSpec, i: int) -> int:
@@ -135,21 +132,14 @@ def relative_betti(c: Complex, a: Complex, field: FieldSpec, i: int) -> int:
     excluded = _embedded_face_set(a, c)
     if i < 0 or i > c.dim:
         return 0
-    d_i, cells_i, _ = _relative_boundary(c, excluded, i)
-    d_ip1, _, _ = _relative_boundary(c, excluded, i + 1)
-    return len(cells_i) - rank(d_i, field) - rank(d_ip1, field)
 
+    def keep(m):
+        return m not in excluded
 
-def _cycle_basis(c: Complex, field: FieldSpec, i: int):
-    """Basis of the reduced cycle space Z_i(c), as coordinate vectors."""
-    faces, _, boundaries = _chain(c)
-    if i == -1:
-        return [[1]]
-    if i not in faces or not faces[i]:
-        return []
-    if i not in boundaries:
-        return []
-    return nullspace_basis(boundaries[i], field)
+    lower, cells, rows = _boundary(c, i, keep)
+    upper, _, _ = _boundary(c, i + 1, keep)
+    return (len(cells) - sparse_rank(lower, len(rows), field)
+            - sparse_rank(upper, len(cells), field))
 
 
 def inclusion_induced_is_zero(a: Complex, c: Complex, i: int, field: FieldSpec) -> bool:
@@ -163,72 +153,38 @@ def first_nonbounding_cycle(a: Complex, c: Complex, i: int, field: FieldSpec):
 
     Returned as a list of (coefficient, face-mask-in-c) pairs.
     """
-    _embedded_face_set(a, c)  # validates the inclusion
-    vmap = {j: c.index_of_label(lab) for j, lab in enumerate(a.labels)}
-    if i == -1:
-        # the empty face bounds iff c has a vertex
-        if c.n_vertices:
-            return None
-        return [(1, 0)]
-    if i > a.dim:
-        return None
-    cycles = _cycle_basis(a, field, i)
+    vmap = _vertex_map(a, c)
+    columns, cells_a, rows_a = _boundary(a, i)
+    cycles = sparse_nullspace(columns, len(rows_a), field)
     if not cycles:
         return None
-    faces_a = a.face_masks(i)
-    faces_c = c.face_masks(i)
+    target, _, faces_c = _boundary(c, i + 1)
     idx_c = {m: j for j, m in enumerate(faces_c)}
-    _, _, boundaries_c = _chain(c)
-    target = boundaries_c.get(i + 1, [[] for _ in faces_c])
     for z in cycles:
-        vec = [0] * len(faces_c)
-        for coeff, m in zip(z, faces_a):
-            if coeff:
-                em = 0
-                for v in _tuple_of(m):
-                    em |= 1 << vmap[v]
-                vec[idx_c[em]] = coeff
-        if not in_column_space(target, vec, field):
-            return [(coeff, m) for coeff, m in zip(vec, faces_c) if coeff]
+        vec = {idx_c[_embed(cells_a[k], vmap)]: coeff for k, coeff in z.items()}
+        if not sparse_in_span(target, len(faces_c), vec, field):
+            return [(vec[j], faces_c[j]) for j in sorted(vec)]
     return None
 
 
 @lru_cache(maxsize=None)
 def _star_top_cycles(c: Complex, field: FieldSpec, face_mask: int):
     """Kernel of the top boundary map restricted to faces containing
-    `face_mask` (= the top homology of the pair (c, contrastar face))."""
-    d = c.dim + 1
-    cols = [m for m in c.face_masks(d - 1) if m & face_mask == face_mask]
-    if not cols:
-        return (), ()
-    rows_idx = [m for m in c.face_masks(d - 2) if m & face_mask == face_mask]
-    idx = {m: i for i, m in enumerate(rows_idx)}
-    # a single zero row keeps the column count when no target cells exist
-    mat = [[0] * len(cols) for _ in rows_idx] or [[0] * len(cols)]
-    for j, m in enumerate(cols):
-        for pos, v in enumerate(_tuple_of(m)):
-            i = idx.get(m & ~(1 << v))
-            if i is not None:
-                mat[i][j] = -1 if pos % 2 else 1
-    basis = nullspace_basis(mat, field)
-    return tuple(cols), tuple(tuple(v) for v in basis)
+    `face_mask` (= the top homology of the pair (c, contrastar face)),
+    with the top faces that index it."""
+    columns, cells, rows = _boundary(c, c.dim, lambda m: m & face_mask == face_mask)
+    return tuple(cells), tuple(sparse_nullspace(columns, len(rows), field))
 
 
 def _projection_surjective(c: Complex, field: FieldSpec, sm: int, tm: int) -> bool:
-    cols_s, ker_s = _star_top_cycles(c, field, sm)
-    cols_t, ker_t = _star_top_cycles(c, field, tm)
+    cells_s, ker_s = _star_top_cycles(c, field, sm)
+    cells_t, ker_t = _star_top_cycles(c, field, tm)
     if not ker_t:
         return True
-    col_pos = {m: j for j, m in enumerate(cols_t)}
-    projected = []
-    for z in ker_s:
-        vec = [0] * len(cols_t)
-        for coeff, m in zip(z, cols_s):
-            j = col_pos.get(m)
-            if j is not None:
-                vec[j] = coeff
-        projected.append(vec)
-    return rank(projected, field) == len(ker_t)
+    pos = {m: j for j, m in enumerate(cells_t)}
+    projected = [{pos[cells_s[k]]: x for k, x in z.items() if cells_s[k] in pos}
+                 for z in ker_s]
+    return sparse_rank(projected, len(cells_t), field) == len(ker_t)
 
 
 def relative_surjectivity(c: Complex, s, t, field: FieldSpec) -> bool:

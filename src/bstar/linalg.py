@@ -1,22 +1,37 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
-Matrices are plain sequences of rows; entries are ints or ``Fraction``s
-when working over the rationals, and canonical residues ``0..p-1`` over
-GF(p).  All routines are pure and deterministic: the pivot is always the
-first nonzero entry in column order, never chosen by magnitude (the
-arithmetic is exact, so only reproducibility matters).
+Every routine here runs on one elimination loop, ``_reduce``: the
+left-to-right column reduction of persistent homology
+(Edelsbrunner-Letscher-Zomorodian 2002).  Each column in turn is reduced
+against the earlier columns until its pivot, its last nonzero row, is the
+pivot of no earlier column, or until it is zero.  The rank is the number
+of nonzero columns.  A column that reduces to zero is free, and the
+record of the column operations that zeroed it is a kernel vector.  The
+free columns are exactly the non-pivot columns of the reduced row echelon
+form, and each kernel vector is scaled to 1 at its own free column (so it
+is 0 at the other free columns): the kernel basis is the one read off
+that form.  Pivots are fixed by position, never chosen by magnitude; the
+arithmetic is exact, so only reproducibility matters.
 
-Rank over the rationals is computed by fraction-free integer elimination
-(rows are scaled to integers first, and the working rows are kept
-primitive by dividing out their gcd), which keeps the very sparse
-boundary matrices produced elsewhere in this package fast.
+Column format.  A sparse matrix is a list of columns plus its row count
+``nrows``; a column is a dict ``{row: entry}`` of its nonzero entries,
+rows numbered from 0.  Over the rationals the entries are ints or
+``Fraction``s: the loop clears each column's denominators and then works
+fraction-free on integers, dividing every combined column by the gcd of
+its entries.  Over GF(p) the entries are ints, taken mod p.
+``sparse_rank``, ``sparse_nullspace`` and ``sparse_in_span`` take this
+format.  ``rank``, ``nullspace_basis`` and ``in_column_space`` take dense
+matrices, sequences of equal-length rows, and convert them to it.
+
+Every path refuses a matrix of more than ``set_max_cells`` rows x columns,
+and checks each kernel vector against the matrix before returning it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "FieldSpec",
@@ -27,6 +42,9 @@ __all__ = [
     "rank",
     "nullspace_basis",
     "in_column_space",
+    "sparse_rank",
+    "sparse_nullspace",
+    "sparse_in_span",
 ]
 
 # Elimination refuses matrices with more cells than this (see set_max_cells).
@@ -107,174 +125,142 @@ QQ = FieldSpec()
 GF2 = FieldSpec(2)
 
 
-def _shape(matrix) -> tuple[int, int]:
-    nrows = len(matrix)
-    if nrows == 0:
-        return 0, 0
-    ncols = len(matrix[0])
-    for row in matrix:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
+def _check_cells(nrows: int, ncols: int) -> None:
     if nrows * ncols > _max_cells:
         raise LinalgGuardError(
             f"matrix has {nrows}x{ncols} cells, above the guard of {_max_cells}"
         )
-    return nrows, ncols
 
 
-def _int_rows(matrix) -> list[list[int]]:
-    """Copy rows, clearing denominators row by row (rank-preserving)."""
-    out = []
-    for row in matrix:
-        if any(isinstance(x, Fraction) for x in row):
-            scale = 1
-            for x in row:
+def _reduce(columns, nrows: int, p: int | None, record: bool = False):
+    """The elimination loop (see the module docstring), over GF(p) or,
+    for ``p is None``, over the rationals.
+
+    Returns the rank and the free columns as (index, leftover) pairs.
+    With `record` every column carries its operations as entries at
+    negative rows, row ~k holding the coefficient of column k, so the
+    leftover of a free column is its kernel vector before scaling.
+    """
+    _check_cells(nrows, len(columns))
+    pivots: dict[int, dict[int, int]] = {}
+    free = []
+    for j, entries in enumerate(columns):
+        scale = 1
+        if p is None:
+            # Clearing the denominators scales column j, so its record
+            # starts at that scale and stays relative to the given column.
+            for x in entries.values():
                 if isinstance(x, Fraction):
-                    scale = scale * x.denominator // gcd(scale, x.denominator)
-            out.append([int(x * scale) for x in row])
+                    scale = lcm(scale, x.denominator)
+            col = {i: int(x * scale) for i, x in entries.items() if x}
         else:
-            out.append([int(x) for x in row])
-    return out
-
-
-def _rank_int(rows: list[list[int]]) -> int:
-    """Fraction-free elimination over the integers, rows kept primitive."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][col]:
-                piv = i
+            col = {i: y for i, x in entries.items() if (y := int(x) % p)}
+        if record:
+            col[~j] = scale
+        while True:
+            low = max(col, default=-1)
+            if low < 0:
+                free.append((j, col))
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i in range(r + 1, m):
-            q = rows[i][col]
-            if not q:
-                continue
-            g = gcd(p, q)
-            pp, qq = p // g, q // g
-            row = rows[i]
-            new = [pp * row[j] - qq * prow[j] for j in range(col + 1, n)]
-            content = 0
-            for x in new:
-                content = gcd(content, x)
-                if content == 1:
-                    break
-            if content > 1:
-                new = [x // content for x in new]
-            rows[i] = [0] * (col + 1) + new
-        r += 1
-        if r == m:
-            break
-    return r
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col
+                break
+            col = _eliminate(col, other, low, p)
+    return len(pivots), free
 
 
-def _rank_gf2(matrix) -> int:
-    masks = []
-    for row in matrix:
-        acc = 0
+def _eliminate(col: dict, other: dict, low: int, p: int | None) -> dict:
+    """`col` minus the multiple of `other` that clears row `low`.  Over the
+    rationals `col` is first scaled to keep the result integral, and the
+    result is divided by the gcd of its entries."""
+    a, b = col[low], other[low]
+    if p is None:
+        g = gcd(a, b)
+        s, t = b // g, a // g
+        if s < 0:
+            s, t = -s, -t
+        if s != 1:
+            col = {k: s * x for k, x in col.items()}
+    else:
+        t = a * pow(b, -1, p) % p
+    for k, x in other.items():
+        y = col.get(k, 0) - t * x
+        if p is not None:
+            y %= p
+        if y:
+            col[k] = y
+        else:
+            del col[k]
+    if p is None:
+        content = gcd(*col.values())
+        if content > 1:
+            col = {k: x // content for k, x in col.items()}
+    return col
+
+
+def _kernel(columns, nrows: int, p: int | None) -> list[dict]:
+    """Kernel basis as {column: coefficient} dicts, one per free column,
+    scaled to 1 there; each is checked to annihilate `columns`."""
+    basis = []
+    for j, rec in _reduce(columns, nrows, p, record=True)[1]:
+        image: dict[int, int] = {}
+        for k, x in rec.items():
+            for i, a in columns[~k].items():
+                image[i] = image.get(i, 0) + x * a
+        if any(s if p is None else s % p for s in image.values()):
+            raise AssertionError("nullspace vector fails verification")
+        lead = rec[~j]
+        if p is None:
+            basis.append({~k: Fraction(x, lead) for k, x in sorted(rec.items(), reverse=True)})
+        else:
+            inv = pow(lead, -1, p)
+            basis.append({~k: x * inv % p for k, x in sorted(rec.items(), reverse=True)})
+    return basis
+
+
+def _in_span(columns, nrows: int, vector: dict, p: int | None) -> bool:
+    free = _reduce([*columns, vector], nrows, p)[1]
+    return bool(free) and free[-1][0] == len(columns)
+
+
+def sparse_rank(columns, nrows: int, field: FieldSpec) -> int:
+    """Exact rank over `field` of a sparse matrix (see the column format)."""
+    return _reduce(columns, nrows, field.p)[0]
+
+
+def sparse_nullspace(columns, nrows: int, field: FieldSpec) -> list[dict]:
+    """Basis of the right kernel of a sparse matrix over `field`, one
+    {column: coefficient} dict per free column, 1 at that column and 0 at
+    the other free columns.  Coefficients are ``Fraction``s over the
+    rationals and residues over GF(p)."""
+    return _kernel(columns, nrows, field.p)
+
+
+def sparse_in_span(columns, nrows: int, vector: dict, field: FieldSpec) -> bool:
+    """True iff the sparse column `vector` is a linear combination of `columns`."""
+    return _in_span(columns, nrows, vector, field.p)
+
+
+def _columns(matrix) -> list[dict]:
+    """The columns of a dense matrix in the sparse format; the guard is
+    checked first, as a dense matrix can take far less memory than its
+    columns."""
+    ncols = len(matrix[0]) if len(matrix) else 0
+    _check_cells(len(matrix), ncols)
+    columns: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
         for j, x in enumerate(row):
-            if int(x) & 1:
-                acc |= 1 << j
-        if acc:
-            masks.append(acc)
-    r = 0
-    while masks:
-        piv = masks.pop()
-        low = piv & -piv
-        r += 1
-        masks = [m ^ piv if m & low else m for m in masks]
-        masks = [m for m in masks if m]
-    return r
-
-
-def _rank_mod(matrix, p: int) -> int:
-    rows = [[int(x) % p for x in row] for row in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = pow(prow[col], p - 2, p)
-        for i in range(r + 1, m):
-            q = rows[i][col]
-            if not q:
-                continue
-            factor = q * inv % p
-            row = rows[i]
-            for j in range(col, n):
-                row[j] = (row[j] - factor * prow[j]) % p
-        r += 1
-        if r == m:
-            break
-    return r
+            if x:
+                columns[j][i] = x
+    return columns
 
 
 def rank(matrix, field: FieldSpec) -> int:
     """Exact rank of `matrix` over `field`."""
-    nrows, ncols = _shape(matrix)
-    if nrows == 0 or ncols == 0:
-        return 0
-    if field.is_rational:
-        return _rank_int(_int_rows(matrix))
-    if field.p == 2:
-        return _rank_gf2(matrix)
-    return _rank_mod(matrix, field.p)
-
-
-def _rref(matrix, field: FieldSpec):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    nrows, ncols = _shape(matrix)
-    p = field.p
-    if field.is_rational:
-        rows = [[Fraction(x) for x in row] for row in matrix]
-    else:
-        rows = [[int(x) % p for x in row] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = Fraction(1) / prow[col] if p is None else pow(prow[col], p - 2, p)
-        if p is None:
-            rows[r] = prow = [x * inv for x in prow]
-        else:
-            rows[r] = prow = [x * inv % p for x in prow]
-        for i in range(nrows):
-            if i == r or not rows[i][col]:
-                continue
-            q = rows[i][col]
-            row = rows[i]
-            if p is None:
-                rows[i] = [row[j] - q * prow[j] for j in range(ncols)]
-            else:
-                rows[i] = [(row[j] - q * prow[j]) % p for j in range(ncols)]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    return _reduce(_columns(matrix), len(matrix), field.p)[0]
 
 
 def nullspace_basis(matrix, field: FieldSpec) -> list[list]:
@@ -282,44 +268,24 @@ def nullspace_basis(matrix, field: FieldSpec) -> list[list]:
 
     Each returned vector is checked to satisfy matrix @ v = 0.
     """
-    nrows, ncols = _shape(matrix)
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        rows, pivots = [], []
-    else:
-        rows, pivots = _rref(matrix, field)
-    pivot_of_col = {c: r for r, c in enumerate(pivots)}
+    columns = _columns(matrix)
     zero = Fraction(0) if field.is_rational else 0
-    one = Fraction(1) if field.is_rational else 1
     basis = []
-    for free in range(ncols):
-        if free in pivot_of_col:
-            continue
-        v = [zero] * ncols
-        v[free] = one
-        for col, r in pivot_of_col.items():
-            entry = rows[r][free]
-            v[col] = -entry if field.is_rational else (-entry) % field.p
+    for vec in _kernel(columns, len(matrix), field.p):
+        v = [zero] * len(columns)
+        for j, x in vec.items():
+            v[j] = x
         basis.append(v)
-    for v in basis:
-        for row in matrix:
-            s = sum(a * b for a, b in zip(row, v))
-            if (s if field.is_rational else s % field.p) != 0:
-                raise AssertionError("nullspace vector fails verification")
     return basis
 
 
 def in_column_space(matrix, vector, field: FieldSpec) -> bool:
     """True iff `vector` is a linear combination of the columns of `matrix`."""
-    nrows, ncols = _shape(matrix)
+    columns = _columns(matrix)
+    nrows = len(matrix)
     if nrows == 0:
         return True
     if len(vector) != nrows:
         raise ValueError("vector length does not match row count")
-    if ncols == 0:
-        if field.is_rational:
-            return all(x == 0 for x in vector)
-        return all(int(x) % field.p == 0 for x in vector)
-    augmented = [list(row) + [vector[i]] for i, row in enumerate(matrix)]
-    return rank(matrix, field) == rank(augmented, field)
+    target = {i: x for i, x in enumerate(vector) if x}
+    return _in_span(columns, nrows, target, field.p)

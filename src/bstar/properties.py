@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .complexes import Complex, _rebuild, contrastar, deletion, link, predicates
-from .homology import betti_at, relative_betti
+from .homology import _embedded_face_set, betti_at, relative_betti
 from .linalg import FieldSpec
 
 __all__ = [
@@ -90,15 +90,20 @@ def is_cohen_macaulay(c: Complex, f: FieldSpec) -> Verdict:
     return Verdict(violation is None, violation)
 
 
-def _vertex_subsets(c: Complex, max_size: int):
-    """All vertex subsets of size < max_size, smallest first; guarded."""
-    total = sum(comb(c.n_vertices, k) for k in range(max_size))
+def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider) -> bool:
+    """Every deletion of fewer than m vertices, smallest first, keeps the
+    dimension of c and passes `decider`; guarded by the subset count."""
+    total = sum(comb(c.n_vertices, k) for k in range(m))
     if total > _max_subsets:
         raise RuntimeError(
             f"deletion sweep needs {total} subsets, above the guard of {_max_subsets}"
         )
-    for k in range(max_size):
-        yield from itertools.combinations(range(c.n_vertices), k)
+    for k in range(m):
+        for subset in itertools.combinations(range(c.n_vertices), k):
+            rest = c if not subset else deletion(c, subset)
+            if rest.dim != c.dim or not decider(rest, f):
+                return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -107,12 +112,7 @@ def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
     dimension (m=1 is plain Cohen-Macaulay, m=2 "doubly")."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    d = c.dim
-    for subset in _vertex_subsets(c, m):
-        rest = c if not subset else deletion(c, subset)
-        if rest.dim != d or not is_cohen_macaulay(rest, f):
-            return False
-    return True
+    return _deletion_sweep(c, f, m, is_cohen_macaulay)
 
 
 @lru_cache(maxsize=None)
@@ -129,12 +129,7 @@ def is_m_buchsbaum(c: Complex, f: FieldSpec, m: int) -> bool:
     """Deletions of fewer than m vertices stay Buchsbaum of the same dimension."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    d = c.dim
-    for subset in _vertex_subsets(c, m):
-        rest = c if not subset else deletion(c, subset)
-        if rest.dim != d or not is_buchsbaum(rest, f):
-            return False
-    return True
+    return _deletion_sweep(c, f, m, is_buchsbaum)
 
 
 def is_doubly_buchsbaum(c: Complex, f: FieldSpec) -> bool:
@@ -172,12 +167,7 @@ def is_m_buchsbaum_star(c: Complex, f: FieldSpec, m: int) -> bool:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return bool(is_buchsbaum(c, f))
-    d = c.dim
-    for subset in _vertex_subsets(c, m):
-        rest = c if not subset else deletion(c, subset)
-        if rest.dim != d or not is_buchsbaum_star(rest, f):
-            return False
-    return True
+    return _deletion_sweep(c, f, m, is_buchsbaum_star)
 
 
 @lru_cache(maxsize=None)
@@ -237,20 +227,7 @@ def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
     if closed:
         return ManifoldReport(True, True, None, betti_at(c, f, d) == ncomp)
     bcomplex = _rebuild(sorted(boundary_faces), c)
-    bfaces = {m for dd in range(0, bcomplex.dim + 1) for m in bcomplex.face_masks(dd)}
-    # re-embed to ambient masks for the closure sanity check
-    vmap = {i: c.index_of_label(lab) for i, lab in enumerate(bcomplex.labels)}
-    embedded = set()
-    for m in bfaces:
-        em, v = 0, 0
-        mm = m
-        while mm:
-            if mm & 1:
-                em |= 1 << vmap[v]
-            mm >>= 1
-            v += 1
-        embedded.add(em)
-    if embedded != boundary_faces:
+    if _embedded_face_set(bcomplex, c) != boundary_faces | {0}:
         return ManifoldReport(False, False, None, False,
                               "boundary faces do not form a subcomplex")
     orientable = relative_betti(c, bcomplex, f, d) == ncomp

@@ -45,8 +45,8 @@ def rank_rational(m) -> int:
 
 
 def rank_modular(m, p) -> int:
-    """Column-style elimination mod p (distinct from the package's row
-    elimination)."""
+    """Gauss-Jordan elimination on columns mod p, clearing each pivot row
+    in every other column (the package reduces left to right only)."""
     cols = [[int(m[i, j]) % p for i in range(m.rows)] for j in range(m.cols)]
     rank = 0
     used_rows = set()

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bstar.cli import main
 
 
@@ -33,6 +35,15 @@ def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "definitely_missing.json")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("text", ['{"facets": 5}', '{"facets": [[[1], 2]]}'])
+def test_check_malformed_facets(capsys, tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "facets" in err
 
 
 def test_check_bad_field(capsys):
@@ -157,6 +168,13 @@ def test_verify_reports_corrupted_file(capsys, tmp_path):
     assert data["all_passed"] is False
     assert any("broken.json" in b for b in data["unreadable"])
     assert data["corpus"] == ["cycle.txt"]
+
+
+def test_verify_empty_corpus(capsys, tmp_path):
+    (tmp_path / "subdir").mkdir()
+    code, out, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 2 and out == ""
+    assert f"error: no complex files in {tmp_path}" in err
 
 
 def test_verify_builtin(capsys):

@@ -120,7 +120,10 @@ def test_ear_verifier_detects_broken_attachment():
     assert ear["boundary_matches_intersection"]
     assert not ear["attachment_null_homologous_top"]
     assert ear["attachment_null_homologous_below"]
-    assert ear["attachment_null_homologous_top_witness"]
+    # the rim of the filled triangle {0,1,2}, the first cycle of the
+    # disc's boundary that does not bound in the torus
+    assert ear["attachment_null_homologous_top_witness"] == [
+        "face {0,1}", "face {0,2}", "face {1,2}"]
     assert not rep.hypotheses_ok
     assert rep.ambient_buchsbaum_star is None and rep.consistent
 

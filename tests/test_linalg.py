@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 
 from bstar.linalg import (GF2, QQ, FieldSpec, LinalgGuardError, in_column_space,
-                          is_prime, nullspace_basis, rank, set_max_cells)
-from oracles import rank_by_minors
+                          is_prime, nullspace_basis, rank, set_max_cells,
+                          sparse_nullspace, sparse_rank)
+from oracles import rank_by_minors, rank_modular
 
 # boundary map of a 3-cycle: rows = vertices, cols = edges 01, 02, 12
 CYCLE3_D1 = [
@@ -118,6 +120,40 @@ def test_nullspace_vectors_annihilate(m, field):
         for row in m:
             s = sum(a * b for a, b in zip(row, v))
             assert (s == 0) if field.is_rational else (s % field.p == 0)
+
+
+@st.composite
+def sparse_matrices(draw):
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(1, 7))
+    cell = st.one_of(st.just(0), small_entries)
+    dense = [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
+    columns = [{i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(ncols)]
+    return columns, nrows
+
+
+def _oracle_rank(columns, nrows, field):
+    if nrows == 0 or not columns:
+        return 0
+    m = sympy.Matrix(nrows, len(columns), lambda i, j: columns[j].get(i, 0))
+    return m.rank() if field.is_rational else rank_modular(m, field.p)
+
+
+@given(sparse_matrices(), st.sampled_from([QQ, GF2, FieldSpec(3)]))
+@settings(max_examples=150, deadline=None)
+def test_sparse_kernel_matches_oracles(matrix, field):
+    columns, nrows = matrix
+    assert sparse_rank(columns, nrows, field) == _oracle_rank(columns, nrows, field)
+    # column j is a non-pivot column iff it lies in the span of the
+    # columns before it; the kernel has one vector per such column, 1 there
+    # and 0 at every other non-pivot column
+    non_pivot = [j for j in range(len(columns))
+                 if _oracle_rank(columns[:j + 1], nrows, field)
+                 == _oracle_rank(columns[:j], nrows, field)]
+    basis = sparse_nullspace(columns, nrows, field)
+    assert len(basis) == len(non_pivot)
+    for j, v in zip(non_pivot, basis):
+        assert [v.get(k, 0) for k in non_pivot] == [int(k == j) for k in non_pivot]
 
 
 def test_determinism():
