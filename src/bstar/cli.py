@@ -150,8 +150,9 @@ def cmd_construct(args) -> int:
         c = named(kind[len("named:"):])
     else:
         raise ValueError(f"unrecognised construct recipe: {' '.join(args.recipe)}")
+    text = to_json(c) + "\n"
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(to_json(c) + "\n")
+        fh.write(text)
     _emit({"written": out, "complex": _complex_summary(c)}, args.format)
     return 0
 

@@ -7,6 +7,15 @@ are what the CLI prints and what subcomplex embeddings are matched on).
 Faces cross the public API as sorted tuples of vertex indices; internally
 every face is a bitmask int over the vertex set.
 
+Costs follow the faces, never the vertex subsets.  Purity
+(`Complex.is_pure`) compares the smallest and largest facet.  Flagness
+(`predicates`) checks that every clique of the 1-skeleton is a face by
+extending each face with its common neighbours: O(faces x degree).
+
+Serialization writes labels as strings, so `to_json` and `to_text`
+refuse a complex in which two vertices' labels print alike (1 and "1"),
+as parsing the output back would merge them.
+
 The empty complex {∅} (no vertices, only the empty face) can arise from
 deletions and contrastars but is deliberately not constructible from
 facet input: parsers reject it.
@@ -64,12 +73,10 @@ def _mask_of(indices: Iterable[int]) -> int:
 
 def _tuple_of(mask: int) -> tuple[int, ...]:
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        bit = mask & -mask
+        out.append(bit.bit_length() - 1)
+        mask ^= bit
     return tuple(out)
 
 
@@ -124,6 +131,10 @@ class Complex:
     @property
     def dim(self) -> int:
         return self._facet_masks[-1].bit_count() - 1
+
+    @property
+    def is_pure(self) -> bool:
+        return self._facet_masks[0].bit_count() == self._facet_masks[-1].bit_count()
 
     @cached_property
     def facets(self) -> tuple[tuple[int, ...], ...]:
@@ -311,27 +322,38 @@ class Predicates:
     graph_edges: tuple[tuple[int, int], ...]
 
 
-def _minimal_nonfaces(c: Complex) -> list[tuple[int, ...]]:
-    """Sets that are not faces while all their proper subsets are.
+def _is_flag(c: Complex) -> bool:
+    """Every clique of the 1-skeleton is a face.
 
-    A minimal non-face has at most dim+2 vertices, so the search space is
-    small at the scales this package accepts.
+    A clique that is not a face contains a minimal non-face K with at
+    least 3 vertices; K minus its largest vertex w is a face F whose
+    vertices are all adjacent to w.  So it suffices to check, for each
+    face F with at least 2 vertices, that F plus any common neighbour
+    above max(F) is a face: O(faces x degree) work.
     """
-    out = []
-    for k in range(2, c.dim + 3):
-        for comb in itertools.combinations(range(c.n_vertices), k):
-            m = _mask_of(comb)
-            if c.has_mask(m):
-                continue
-            if all(c.has_mask(m & ~(1 << v)) for v in comb):
-                out.append(comb)
-    return out
+    adjacent = [0] * c.n_vertices
+    for e in c._faces_by_dim.get(1, []):
+        low = e & -e
+        adjacent[low.bit_length() - 1] |= e ^ low
+        adjacent[e.bit_length() - 1] |= low
+    faces = {m for d in range(1, c.dim + 1) for m in c._faces_by_dim[d]}
+    for f in faces:
+        common = ~((1 << f.bit_length()) - 1)
+        rest = f
+        while rest:
+            bit = rest & -rest
+            common &= adjacent[bit.bit_length() - 1]
+            rest ^= bit
+        while common:
+            bit = common & -common
+            if f | bit not in faces:
+                return False
+            common ^= bit
+    return True
 
 
 def predicates(c: Complex) -> Predicates:
     """Purity, flagness, connected components, and the edge graph."""
-    sizes = {m.bit_count() for m in c._facet_masks}
-    is_pure = len(sizes) == 1
     edges = tuple(_tuple_of(m) for m in c._faces_by_dim.get(1, []))
 
     parent = list(range(c.n_vertices))
@@ -354,8 +376,7 @@ def predicates(c: Complex) -> Predicates:
         vm = _mask_of(verts)
         comps.append(_rebuild([f for f in c._facet_masks if f & vm == f], c))
 
-    is_flag = all(len(nf) == 2 for nf in _minimal_nonfaces(c))
-    return Predicates(is_pure, is_flag, tuple(comps), edges)
+    return Predicates(c.is_pure, _is_flag(c), tuple(comps), edges)
 
 
 # -- file format ------------------------------------------------------
@@ -386,12 +407,22 @@ def parse(text: str) -> Complex:
     return from_facets(facets)
 
 
+def _string_facets(c: Complex) -> list[list[str]]:
+    """Sorted facets of sorted string labels; refuses labels that print
+    alike, as they would merge when the output is parsed back."""
+    names = [str(lab) for lab in c.labels]
+    first: dict[str, Hashable] = {}
+    for lab, name in zip(c.labels, names):
+        if name in first:
+            raise ValueError(f"labels {first[name]!r} and {lab!r} both print as {name!r}")
+        first[name] = lab
+    return sorted(sorted(names[v] for v in f) for f in c.facets)
+
+
 def to_json(c: Complex) -> str:
     """Canonical serialization: sorted facets of sorted string labels."""
-    facets = sorted(sorted(str(lab) for lab in c.face_labels(f)) for f in c.facets)
-    return json.dumps({"facets": facets}, sort_keys=True)
+    return json.dumps({"facets": _string_facets(c)}, sort_keys=True)
 
 
 def to_text(c: Complex) -> str:
-    facets = sorted(sorted(str(lab) for lab in c.face_labels(f)) for f in c.facets)
-    return "\n".join(" ".join(f) for f in facets) + "\n"
+    return "\n".join(" ".join(f) for f in _string_facets(c)) + "\n"

@@ -306,7 +306,7 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
     union_ok = _union_face_sets(pieces, ambient) == ambient_faces
 
     base = pieces[0]
-    base_rep = is_homology_manifold(base, field) if predicates(base).is_pure \
+    base_rep = is_homology_manifold(base, field) if base.is_pure \
         else None
     if base_rep is None or not base_rep.manifold or not base_rep.closed:
         base_ok, base_detail = False, "not a closed homology manifold"
@@ -322,7 +322,7 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
     prior = [base]
     for k, piece in enumerate(pieces[1:], start=2):
         ear: dict = {"piece": k}
-        rep = is_homology_manifold(piece, field) if predicates(piece).is_pure else None
+        rep = is_homology_manifold(piece, field) if piece.is_pure else None
         conn = len(predicates(piece).components) == 1
         ear["manifold_with_boundary"] = bool(
             rep and rep.manifold and not rep.closed and rep.orientable

@@ -73,10 +73,19 @@ def _boundary(c: Complex, d: int, keep=None):
     return columns, cells, rows
 
 
-@lru_cache(maxsize=None)
+# Ranks of boundary maps, keyed by the shape of the complex (vertex
+# count and facet masks), not by the complex: ranks do not depend on
+# labels, and the key keeps no complex alive.
+_boundary_ranks: dict[tuple, int] = {}
+
+
 def _boundary_rank(c: Complex, field: FieldSpec, i: int) -> int:
-    columns, _, rows = _boundary(c, i)
-    return sparse_rank(columns, len(rows), field)
+    key = (c.n_vertices, c._facet_masks, field, i)
+    r = _boundary_ranks.get(key)
+    if r is None:
+        columns, _, rows = _boundary(c, i)
+        r = _boundary_ranks[key] = sparse_rank(columns, len(rows), field)
+    return r
 
 
 def betti_at(c: Complex, field: FieldSpec, i: int) -> int:

@@ -18,7 +18,9 @@ Column format.  A sparse matrix is a list of columns plus its row count
 rows numbered from 0.  Over the rationals the entries are ints or
 ``Fraction``s: the loop clears each column's denominators and then works
 fraction-free on integers, dividing every combined column by the gcd of
-its entries.  Over GF(p) the entries are ints, taken mod p.
+its entries.  Over GF(p) the entries are ints, taken mod p, or
+``Fraction``s, a/b taken as a times the inverse of b mod p (a ValueError
+if p divides b).
 ``sparse_rank``, ``sparse_nullspace`` and ``sparse_in_span`` take this
 format.  ``rank``, ``nullspace_basis`` and ``in_column_space`` take dense
 matrices, sequences of equal-length rows, and convert them to it.
@@ -132,6 +134,15 @@ def _check_cells(nrows: int, ncols: int) -> None:
         )
 
 
+def _residue(x, p: int) -> int:
+    """x mod p; a Fraction a/b is a times the inverse of b."""
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise ValueError(f"{x} has no residue mod {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
+    return int(x) % p
+
+
 def _reduce(columns, nrows: int, p: int | None, record: bool = False):
     """The elimination loop (see the module docstring), over GF(p) or,
     for ``p is None``, over the rationals.
@@ -154,7 +165,7 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
                     scale = lcm(scale, x.denominator)
             col = {i: int(x * scale) for i, x in entries.items() if x}
         else:
-            col = {i: y for i, x in entries.items() if (y := int(x) % p)}
+            col = {i: y for i, x in entries.items() if (y := _residue(x, p))}
         if record:
             col[~j] = scale
         while True:
@@ -208,7 +219,7 @@ def _kernel(columns, nrows: int, p: int | None) -> list[dict]:
         for k, x in rec.items():
             for i, a in columns[~k].items():
                 image[i] = image.get(i, 0) + x * a
-        if any(s if p is None else s % p for s in image.values()):
+        if any(s if p is None else _residue(s, p) for s in image.values()):
             raise AssertionError("nullspace vector fails verification")
         lead = rec[~j]
         if p is None:
@@ -283,9 +294,9 @@ def in_column_space(matrix, vector, field: FieldSpec) -> bool:
     """True iff `vector` is a linear combination of the columns of `matrix`."""
     columns = _columns(matrix)
     nrows = len(matrix)
-    if nrows == 0:
-        return True
     if len(vector) != nrows:
         raise ValueError("vector length does not match row count")
+    if nrows == 0:
+        return True
     target = {i: x for i, x in enumerate(vector) if x}
     return _in_span(columns, nrows, target, field.p)

@@ -118,7 +118,7 @@ def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
 @lru_cache(maxsize=None)
 def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
     """Pure, with every nonempty-face link Cohen-Macaulay."""
-    if not predicates(c).is_pure:
+    if not c.is_pure:
         return Verdict(False, "not pure")
     violation = _link_homology_violation(c, f, include_empty=False, sphere=False)
     return Verdict(violation is None, violation)
@@ -199,7 +199,7 @@ def _ball_like(lk: Complex, f: FieldSpec) -> bool:
 
 @lru_cache(maxsize=None)
 def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
-    if not predicates(c).is_pure:
+    if not c.is_pure:
         return ManifoldReport(False, False, None, False, "not pure")
     d = c.dim
     if d == 0:
@@ -243,7 +243,7 @@ def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
     subcomplex collects the faces with ball links.  Orientability is top
     Betti = number of components (relative to the boundary if nonempty).
     """
-    if not predicates(c).is_pure:
+    if not c.is_pure:
         raise ValueError("homology manifold recognition requires a pure complex")
     return _manifold_report(c, f)
 
@@ -287,7 +287,7 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
     run("doubly_buchsbaum", lambda: is_doubly_buchsbaum(c, f))
     run("buchsbaum*", lambda: is_buchsbaum_star(c, f))
     run("gorenstein*", lambda: is_gorenstein_star(c, f))
-    if predicates(c).is_pure:
+    if c.is_pure:
         mrep = is_homology_manifold(c, f)
         report.verdicts["homology_manifold"] = mrep.manifold
         report.verdicts["orientable_manifold"] = mrep.manifold and mrep.orientable

@@ -108,7 +108,7 @@ def check_orientability_dichotomy(entries, fields) -> TheoremResult:
             r.fail(f"{name} not recognised as closed manifold over {f}")
     # every closed manifold of dim >= 1 in the corpus obeys the dichotomy
     for name, c in entries:
-        if c.dim < 1 or not predicates(c).is_pure:
+        if c.dim < 1 or not c.is_pure:
             continue
         for f in fields:
             rep = is_homology_manifold(c, f)
@@ -542,7 +542,7 @@ def check_conjecture_probes(entries, fields) -> TheoremResult:
     r = TheoremResult("conjecture_probes", True)
     probed = 0
     for name, c in entries:
-        if not predicates(c).is_pure:
+        if not c.is_pure:
             continue
         for f in fields:
             rep = conjecture_probe(c, f)

@@ -85,6 +85,23 @@ def betti_numbers(facets, p=None):
     return tuple(out)
 
 
+def minimal_nonfaces(c):
+    """Sets that are not faces while all their proper subsets are.
+
+    A minimal non-face has at most dim+2 vertices; every vertex subset
+    up to that size is tested, so this is for small complexes only.
+    """
+    out = []
+    for k in range(2, c.dim + 3):
+        for comb in itertools.combinations(range(c.n_vertices), k):
+            m = sum(1 << v for v in comb)
+            if c.has_mask(m):
+                continue
+            if all(c.has_mask(m & ~(1 << v)) for v in comb):
+                out.append(comb)
+    return out
+
+
 def rank_by_minors(rows) -> int:
     """Rank as the largest k with a nonsingular k x k minor (tiny inputs)."""
     m, n = len(rows), len(rows[0]) if rows else 0

@@ -122,6 +122,16 @@ def test_construct_bad_spec(capsys, tmp_path):
     assert code == 2
 
 
+def test_construct_rejects_labels_that_print_alike(capsys, tmp_path):
+    src = tmp_path / "mixed.json"
+    src.write_text('{"facets": [[1, "1"], [1, 2]]}')
+    out = tmp_path / "cone.json"
+    code, _, err = run_cli(capsys, "construct", "cone", str(src), str(out))
+    assert code == 2
+    assert "labels 1 and '1' both print as '1'" in err
+    assert not out.exists()
+
+
 def test_check_reads_text_format(capsys, tmp_path):
     p = tmp_path / "triangle.txt"
     p.write_text("a b\nb c\na c\n")

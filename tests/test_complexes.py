@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from bstar.complexes import (Complex, FaceCountError, cone, contrastar, deletion,
                              from_facets, get_max_faces, join, link, parse,
                              predicates, set_max_faces, skeleton, to_json, to_text)
-from bstar.constructions import cross_polytope, example_2_10_i, simplex
-from oracles import closure, faces_by_dim
+from bstar.constructions import cross_polytope, cycle, example_2_10_i, simplex
+from oracles import closure, faces_by_dim, minimal_nonfaces
 
 
 def as_face_sets(c: Complex):
@@ -174,9 +174,13 @@ def test_predicates(octahedron, torus):
 
 
 def test_octahedron_minimal_nonfaces(octahedron):
-    from bstar.complexes import _minimal_nonfaces
+    assert minimal_nonfaces(octahedron) == [(0, 1), (2, 3), (4, 5)]
 
-    assert _minimal_nonfaces(octahedron) == [(0, 1), (2, 3), (4, 5)]
+
+def test_flagness_scales_with_faces():
+    # the vertex-subset sweep would take hours on the 1000-cycle
+    assert predicates(cycle(1000)).is_flag
+    assert not predicates(cycle(3)).is_flag
 
 
 # -- properties over random complexes ----------------------------------
@@ -190,6 +194,25 @@ def random_complexes(draw):
         size = draw(st.integers(1, min(4, n)))
         facets.append(draw(st.permutations(range(n)))[:size])
     return from_facets(facets)
+
+
+@st.composite
+def complexes_up_to_8_vertices(draw):
+    n = draw(st.integers(1, 8))
+    facets = []
+    for _ in range(draw(st.integers(1, 10))):
+        size = draw(st.integers(1, n))
+        facets.append(draw(st.permutations(range(n)))[:size])
+    # skeletons of big faces have minimal non-faces of every size
+    return skeleton(from_facets(facets), draw(st.integers(0, 7)))
+
+
+@given(complexes_up_to_8_vertices())
+@settings(max_examples=150, deadline=None)
+def test_flagness_matches_minimal_nonfaces(c):
+    p = predicates(c)
+    assert p.is_flag == all(len(nf) == 2 for nf in minimal_nonfaces(c))
+    assert p.is_pure == c.is_pure == (len({len(f) for f in c.facets}) == 1)
 
 
 @given(random_complexes())
@@ -267,6 +290,14 @@ def test_parse_round_trip(octahedron):
     assert isomorphic(parse(plain), octahedron)
     with pytest.raises(ValueError):
         parse("{\"wrong\": []}")
+
+
+def test_serialization_rejects_labels_that_print_alike():
+    c = from_facets([[1, "1"], [1, 2]])
+    assert c.n_vertices == 3
+    for write in (to_json, to_text):
+        with pytest.raises(ValueError, match="labels 1 and '1'"):
+            write(c)
 
 
 def test_serialization_stable(torus):

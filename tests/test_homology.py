@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from bstar.homology import (betti, betti_at, inclusion_induced_is_zero,
                             relative_surjectivity, top_projection_surjective,
                             _boundary, _embedded_face_set)
 from bstar.linalg import GF2, QQ, FieldSpec
+from bstar import homology
 from oracles import betti_numbers
 
 
@@ -146,6 +150,34 @@ def test_join_kunneth_small():
             for i in range(-1, j.dim + 1):
                 assert bj.at(i) == sum(
                     ba.at(k) * bb.at(i - k - 1) for k in range(-1, i + 1))
+
+
+def test_rank_cache_keyed_by_shape():
+    letters = from_facets([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c", "e")])
+    numbers = from_facets([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3, 5)])
+    assert letters != numbers
+    shape = (letters.n_vertices, letters._facet_masks)
+    assert shape == (numbers.n_vertices, numbers._facet_masks)
+    cache = homology._boundary_ranks
+
+    def betti_of(c):
+        return [betti_at(c, f, i) for f in (QQ, GF2) for i in range(-1, 3)]
+
+    first = betti_of(letters)
+    assert {k[2:] for k in cache if k[:2] == shape} == {
+        (f, i) for f in (QQ, GF2) for i in range(-1, 4)}
+    size = len(cache)
+    assert betti_of(numbers) == first
+    assert len(cache) == size
+
+
+def test_rank_cache_keeps_no_complex_alive():
+    c = from_facets([(0, 1, 2), (2, 3), (3, 4, 5, 6)])
+    assert betti_at(c, QQ, 0) == 0
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
 
 
 def test_universal_coefficients_direction():

@@ -57,6 +57,15 @@ def test_rank_fraction_entries():
     assert rank(m, QQ) == rank_by_minors(m)
 
 
+def test_fraction_entries_over_gfp():
+    # 1/2 is 2 mod 3, not int(1/2) = 0
+    assert rank([[Fraction(1, 2)]], FieldSpec(3)) == 1
+    assert nullspace_basis([[Fraction(1, 2), 1]], FieldSpec(3)) == [[1, 1]]
+    assert in_column_space([[Fraction(1, 2)]], [1], FieldSpec(3))
+    with pytest.raises(ValueError, match="no residue mod 3"):
+        rank([[Fraction(1, 3)]], FieldSpec(3))
+
+
 def test_nullspace_examples():
     eye = [[1, 0], [0, 1]]
     assert nullspace_basis(eye, QQ) == []
@@ -74,6 +83,9 @@ def test_in_column_space_examples():
     assert in_column_space(m, [0, 0, 0], QQ)
     assert in_column_space(m, [1, 2, 3], QQ)
     assert not in_column_space([[0], [0]], [1, 0], QQ)
+    assert in_column_space([], [], QQ)
+    with pytest.raises(ValueError, match="vector length"):
+        in_column_space([], [1, 2], QQ)
     assert not in_column_space(m, [1, 0, 0], QQ)
     # boundary of the full triangle hits the boundary cycle of its rim
     d2 = [[1], [-1], [1]]
