@@ -233,8 +233,9 @@ def from_facets(facet_list: Iterable[Iterable[Hashable]]) -> Complex:
 
 
 def _rebuild(masks: Iterable[int], parent: Complex) -> Complex:
-    """Maximalise `masks`, reindex densely, and inherit parent labels."""
-    masks = _maximal(masks)
+    """Reindex `masks` densely and inherit parent labels; `Complex` keeps
+    the maximal ones, as reindexing keeps inclusions and the union."""
+    masks = set(masks)
     union = 0
     for m in masks:
         union |= m

@@ -1,11 +1,21 @@
-"""Deciders for the simplicial complex property hierarchy.
+"""Deciders for the simplicial complex property hierarchy, each one of
+the paper's criteria on the parts of `homology`.
 
-Everything here reduces to reduced Betti numbers of links, deletions and
-contrastars.  Cohen-Macaulayness is decided by link homology vanishing
-below top dimension; Buchsbaumness adds purity and restricts to nonempty
-faces; Buchsbaum*ness additionally requires that removing the open star
-of any nonempty face (the contrastar) does not change the reduced Betti
-number one below top.  All deciders are pure and memoised.
+Cohen-Macaulay: no link (the whole complex included) has reduced
+homology below its top dimension.  Buchsbaum: pure, and the same for the
+links of nonempty faces.  Gorenstein*: the CM test with top Betti number
+1.  Homology manifold: links pass it with top Betti 1 (sphere) or 0 (ball).
+
+Buchsbaum*: removing the open star of any nonempty face F keeps the
+reduced Betti number one below the top dimension d.  For a Buchsbaum
+complex H_{d-1}(Δ, cost F) ≅ H̃(lk F) vanishes, and the exact sequence
+of the pair (Δ, cost F) gives
+
+    β_{d-1}(cost F) = β_{d-1}(Δ) + dim coker(H_d(Δ) -> H_d(Δ, cost F)),
+
+so the top cycles of Δ must project onto the top cycles of the star of
+F: one global top-cycle basis plus a small kernel per star.  All
+deciders are pure and memoised.
 """
 
 from __future__ import annotations
@@ -16,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb
 
-from .complexes import Complex, _rebuild, contrastar, deletion, link, predicates
-from .homology import _embedded_face_set, betti_at, relative_betti
+from .complexes import Complex, _rebuild, deletion, link, predicates
+from .homology import _embedded_face_set, _projection_cokernel, betti_at, relative_betti
 from .linalg import FieldSpec
 
 __all__ = [
@@ -62,31 +72,33 @@ def _faces_ascending(c: Complex, include_empty: bool):
             yield t
 
 
-def _link_homology_violation(c: Complex, f: FieldSpec, include_empty: bool,
-                             sphere: bool) -> str | None:
-    """First face whose link violates the vanishing (or sphere) pattern.
+def _link_violation(lk: Complex, f: FieldSpec, top: int | None) -> str | None:
+    """Why the link lk fails the link test: nonzero reduced homology below
+    its own top dimension, or, unless `top` is None, a top reduced Betti
+    number other than `top`."""
+    for i in range(-1, lk.dim):
+        if betti_at(lk, f, i) != 0:
+            return f"has nonzero reduced homology in degree {i}"
+    if top is not None and betti_at(lk, f, lk.dim) != top:
+        return f"has top reduced Betti number {betti_at(lk, f, lk.dim)}, expected {top}"
+    return None
 
-    With sphere=False: all reduced Betti numbers of every link must vanish
-    below the link's own top dimension.  With sphere=True the top Betti
-    number must additionally equal 1.
-    """
+
+def _link_homology_violation(c: Complex, f: FieldSpec, include_empty: bool,
+                             top: int | None = None) -> str | None:
+    """First face whose link fails the link test (see `_link_violation`)."""
     for face in _faces_ascending(c, include_empty):
-        lk = c if not face else link(c, face)
-        top = lk.dim
-        for i in range(-1, top):
-            if betti_at(lk, f, i) != 0:
-                where = "the whole complex" if not face else f"link of {c.describe_face(face)}"
-                return f"{where} has nonzero reduced homology in degree {i}"
-        if sphere and betti_at(lk, f, top) != 1:
+        why = _link_violation(c if not face else link(c, face), f, top)
+        if why:
             where = "the whole complex" if not face else f"link of {c.describe_face(face)}"
-            return f"{where} has top reduced Betti number {betti_at(lk, f, top)}, expected 1"
+            return f"{where} {why}"
     return None
 
 
 @lru_cache(maxsize=None)
 def is_cohen_macaulay(c: Complex, f: FieldSpec) -> Verdict:
     """Link homology vanishes below top dimension, for every face."""
-    violation = _link_homology_violation(c, f, include_empty=True, sphere=False)
+    violation = _link_homology_violation(c, f, include_empty=True)
     return Verdict(violation is None, violation)
 
 
@@ -120,7 +132,7 @@ def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
     """Pure, with every nonempty-face link Cohen-Macaulay."""
     if not c.is_pure:
         return Verdict(False, "not pure")
-    violation = _link_homology_violation(c, f, include_empty=False, sphere=False)
+    violation = _link_homology_violation(c, f, include_empty=False)
     return Verdict(violation is None, violation)
 
 
@@ -141,7 +153,9 @@ def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
     """Buchsbaum, and removing the open star of any nonempty face keeps the
     reduced Betti number one below top unchanged.
 
-    Every nonempty face is checked; restricting to facets is not sound
+    Decided by the projection criterion (module docstring); the witness
+    gives the contrastar Betti number as β_{d-1}(c) + dim coker.  Every
+    nonempty face is checked; restricting to facets is not sound
     (one-dimensional counterexamples fail only at a vertex).
     """
     b = is_buchsbaum(c, f)
@@ -149,11 +163,11 @@ def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
         return Verdict(False, f"not Buchsbaum: {b.witness}")
     target = betti_at(c, f, c.dim - 1)
     for face in _faces_ascending(c, include_empty=False):
-        got = betti_at(contrastar(c, face), f, c.dim - 1)
-        if got != target:
+        coker = _projection_cokernel(c, f, 0, c.mask(face))
+        if coker:
             return Verdict(
                 False,
-                f"{c.describe_face(face)}: contrastar Betti {got} != {target} "
+                f"{c.describe_face(face)}: contrastar Betti {target + coker} != {target} "
                 f"in degree {c.dim - 1}",
             )
     return Verdict(True)
@@ -174,7 +188,7 @@ def is_m_buchsbaum_star(c: Complex, f: FieldSpec, m: int) -> bool:
 def is_gorenstein_star(c: Complex, f: FieldSpec) -> bool:
     """Every link (including the whole complex) has the reduced homology of
     a sphere of its own dimension."""
-    return _link_homology_violation(c, f, include_empty=True, sphere=True) is None
+    return _link_homology_violation(c, f, include_empty=True, top=1) is None
 
 
 @dataclass(frozen=True)
@@ -184,17 +198,6 @@ class ManifoldReport:
     boundary: Complex | None
     orientable: bool
     witness: str | None = None
-
-
-def _sphere_like(lk: Complex, f: FieldSpec) -> bool:
-    top = lk.dim
-    if betti_at(lk, f, top) != 1:
-        return False
-    return all(betti_at(lk, f, i) == 0 for i in range(-1, top))
-
-
-def _ball_like(lk: Complex, f: FieldSpec) -> bool:
-    return all(betti_at(lk, f, i) == 0 for i in range(-1, lk.dim + 1))
 
 
 @lru_cache(maxsize=None)
@@ -209,10 +212,10 @@ def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
     closed = True
     for face in _faces_ascending(c, include_empty=False):
         lk = link(c, face)
-        if _sphere_like(lk, f):
+        if _link_violation(lk, f, top=1) is None:
             continue
         closed = False
-        if _ball_like(lk, f) and _manifold_report(lk, f).manifold:
+        if _link_violation(lk, f, top=0) is None and _manifold_report(lk, f).manifold:
             boundary_faces.add(c.mask(face))
             if ball_note is None:
                 ball_note = (f"boundary recognised by Betti vanishing and "

@@ -1,13 +1,20 @@
 """Independent brute-force oracles used to derive expected test values.
 
-Everything here works on plain frozensets via explicit subset closure and
-computes ranks with sympy (rationals) or a hand-rolled column-style
-modular elimination, deliberately sharing no code with the package.
+The homology oracles work on plain frozensets via explicit subset closure
+and compute ranks with sympy (rationals) or a hand-rolled column-style
+modular elimination, deliberately sharing no code with the package.  The
+oracles that take a `Complex` use the package's public API:
+`buchsbaum_star_by_contrastars` decides by the definition, rebuilding
+every contrastar, where the package projects top cycles.
 """
 
 import itertools
 
 import sympy
+
+from bstar.complexes import contrastar
+from bstar.homology import betti_at
+from bstar.properties import is_buchsbaum
 
 
 def closure(facets):
@@ -147,3 +154,20 @@ def connectivity_by_cuts(n, edges) -> int:
             if not connected(set(cut)):
                 return k
     return n - 1
+
+
+def buchsbaum_star_by_contrastars(c, field):
+    """(verdict, witness) of Buchsbaum*ness by the definition: Buchsbaum,
+    and every nonempty face's contrastar keeps the reduced Betti number
+    one below top.  Faces go by dimension, then in sorted order."""
+    b = is_buchsbaum(c, field)
+    if not b:
+        return False, f"not Buchsbaum: {b.witness}"
+    target = betti_at(c, field, c.dim - 1)
+    for d in range(0, c.dim + 1):
+        for face in c.faces(d):
+            got = betti_at(contrastar(c, face), field, c.dim - 1)
+            if got != target:
+                return False, (f"{c.describe_face(face)}: contrastar Betti {got} "
+                               f"!= {target} in degree {c.dim - 1}")
+    return True, None

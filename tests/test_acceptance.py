@@ -92,7 +92,7 @@ def test_04_implication_chain():
 
 
 def test_05_oracle_equivalence():
-    _report(5, "contrastar decision vs surjectivity oracle",
+    _report(5, "projection decision vs contrastar oracle",
             check_surjectivity_oracle(entries(), FIELDS))
 
 

@@ -180,6 +180,16 @@ def test_rank_cache_keeps_no_complex_alive():
     assert ref() is None
 
 
+def test_star_cycle_cache_keeps_no_complex_alive():
+    c = from_facets([(0, 1, 2), (1, 2, 3), (2, 3, 0), (3, 0, 1)])
+    assert top_projection_surjective(c, [0], QQ)
+    assert relative_surjectivity(c, [0], [0, 1], GF2)
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
+
+
 def test_universal_coefficients_direction():
     """On the corpus manifolds, Betti numbers over GF(2) dominate the
     rational ones coordinatewise (torsion only adds in characteristic p)."""

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import buchsbaum_star_by_contrastars
 
-from bstar.complexes import cone, from_facets
+from bstar.complexes import cone, deletion, from_facets, skeleton
 from bstar.constructions import (bowtie, example_2_10_i, example_2_10_iii,
                                  simplex, simplex_boundary, torus7)
 from bstar.linalg import GF2, QQ, FieldSpec
@@ -74,6 +77,28 @@ def test_buchsbaum_star_single_edge():
     assert is_buchsbaum(from_facets([(0, 1)]), QQ)
     assert not is_buchsbaum_star(from_facets([(0, 1)]), QQ)
     assert is_buchsbaum_star(simplex_boundary(2), QQ)
+
+
+@st.composite
+def complexes_up_to_7_vertices(draw):
+    n = draw(st.integers(2, 7))
+    facets = [draw(st.permutations(range(n)))[:draw(st.integers(1, min(n, 4)))]
+              for _ in range(draw(st.integers(1, 7)))]
+    c = from_facets(facets)
+    # deletions and skeletons give non-pure and non-Buchsbaum cases, and
+    # Buchsbaum graphs that fail only at a vertex
+    gone = draw(st.sets(st.integers(0, c.n_vertices - 1), max_size=1))
+    if gone:
+        c = deletion(c, sorted(gone))
+    return skeleton(c, draw(st.integers(1, 3)))
+
+
+@given(complexes_up_to_7_vertices())
+@settings(max_examples=150, deadline=None)
+def test_buchsbaum_star_matches_contrastar_oracle(c):
+    for f in (QQ, GF2, FieldSpec(3)):
+        v = is_buchsbaum_star(c, f)
+        assert (v.ok, v.witness) == buchsbaum_star_by_contrastars(c, f)
 
 
 def test_m_buchsbaum_star(octahedron):
