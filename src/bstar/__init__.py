@@ -17,7 +17,8 @@ from .constructions import (corpus, cross_polytope, cycle, named, path, product,
 from .homology import (BettiTable, betti, betti_at, inclusion_induced_is_zero,
                        relative_betti, relative_surjectivity)
 from .linalg import GF2, QQ, FieldSpec, in_column_space, nullspace_basis, rank
-from .properties import (PropertyReport, is_buchsbaum, is_buchsbaum_star,
+from .properties import (ConsistencyError, PropertyReport, SubsetGuardError,
+                         clear_caches, is_buchsbaum, is_buchsbaum_star,
                          is_cohen_macaulay, is_doubly_buchsbaum,
                          is_gorenstein_star, is_homology_manifold,
                          is_m_buchsbaum, is_m_buchsbaum_star,

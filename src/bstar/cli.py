@@ -4,7 +4,8 @@ Inputs are file paths (canonical JSON facet format or plain text, one
 facet per line) or named complexes via "named:<name>".  All output is
 key-sorted JSON by default; verdicts are data, so `check` exits 0 even
 for complexes failing every property.  Exit code 2 signals unusable
-input or an exceeded guard, exit 1 a failed verification run.
+input or an exceeded guard, exit 1 a failed verification run, and exit 3
+a failed internal consistency check (a bug in the library).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .constructions import (corpus, export_corpus, named, product,
                             stacked_sphere)
 from .homology import betti
 from .linalg import FieldSpec, LinalgGuardError
-from .properties import property_report
+from .properties import ConsistencyError, SubsetGuardError, property_report
 from .theorems import run_battery
 from .vectors import face_vectors
 
@@ -246,9 +247,12 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (OSError, ValueError, json.JSONDecodeError, FaceCountError,
-            LinalgGuardError, RuntimeError) as exc:
+            LinalgGuardError, SubsetGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -81,11 +81,22 @@ def _tuple_of(mask: int) -> tuple[int, ...]:
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
-    uniq = sorted(set(masks), key=lambda m: -m.bit_count())
+    """The inclusion-maximal masks, each once; 0 is kept only when it is
+    the only mask.  Larger masks come first, and each mask is compared
+    only with the kept masks through its lowest vertex."""
     kept: list[int] = []
-    for m in uniq:
-        if not any(m & k == m for k in kept):
-            kept.append(m)
+    through: dict[int, list[int]] = {}
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if not m:
+            return kept or [0]
+        if any(m & k == m for k in through.get(m & -m, ())):
+            continue
+        kept.append(m)
+        rest = m
+        while rest:
+            bit = rest & -rest
+            through.setdefault(bit, []).append(m)
+            rest ^= bit
     return kept
 
 

@@ -15,7 +15,17 @@ of the pair (Δ, cost F) gives
 
 so the top cycles of Δ must project onto the top cycles of the star of
 F: one global top-cycle basis plus a small kernel per star.  All
-deciders are pure and memoised.
+deciders are pure and memoised (`clear_caches` empties the memos).
+
+The m-fold properties ask the same of every deletion of fewer than m
+vertices.  Deleting commutes with taking links, lk_{Δ−v}(F) = lk_Δ(F) − v,
+which is lk_Δ(F) itself unless F ∪ {v} is a face.  So once Δ passes the
+link test, Δ − v passes it exactly when its dimension is kept (and, for
+Buchsbaum, it stays pure) and the links of the faces of lk_Δ(v) pass in
+Δ − v; the empty face, Δ − v itself, counts for Cohen-Macaulay.  A sweep
+costs the number of vertex subsets times the size of one vertex star,
+plus any global test (the Buchsbaum* projection), not the number of
+subsets times the number of faces.
 """
 
 from __future__ import annotations
@@ -26,11 +36,14 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb
 
-from .complexes import Complex, _rebuild, deletion, link, predicates
-from .homology import _embedded_face_set, _projection_cokernel, betti_at, relative_betti
+from .complexes import Complex, _rebuild, _tuple_of, deletion, link, predicates
+from .homology import (_boundary_ranks, _embedded_face_set, _projection_cokernel,
+                       _star_cycles, betti_at, relative_betti)
 from .linalg import FieldSpec
 
 __all__ = [
+    "SubsetGuardError",
+    "ConsistencyError",
     "Verdict",
     "ManifoldReport",
     "PropertyReport",
@@ -44,10 +57,21 @@ __all__ = [
     "is_gorenstein_star",
     "is_homology_manifold",
     "property_report",
+    "clear_caches",
 ]
 
 DEFAULT_MAX_SUBSETS = 10**6
 _max_subsets = DEFAULT_MAX_SUBSETS
+
+
+class SubsetGuardError(RuntimeError):
+    """Raised when a deletion sweep would visit more vertex subsets than
+    the guard allows."""
+
+
+class ConsistencyError(Exception):
+    """Raised when verdicts break an implication of the theory: a bug in
+    the library, never a property of the input."""
 
 
 def set_max_subsets(n: int) -> None:
@@ -84,10 +108,11 @@ def _link_violation(lk: Complex, f: FieldSpec, top: int | None) -> str | None:
     return None
 
 
-def _link_homology_violation(c: Complex, f: FieldSpec, include_empty: bool,
+def _link_homology_violation(c: Complex, f: FieldSpec, faces,
                              top: int | None = None) -> str | None:
-    """First face whose link fails the link test (see `_link_violation`)."""
-    for face in _faces_ascending(c, include_empty):
+    """First of `faces` (vertex tuples, () for the whole complex) whose
+    link fails the link test (see `_link_violation`)."""
+    for face in faces:
         why = _link_violation(c if not face else link(c, face), f, top)
         if why:
             where = "the whole complex" if not face else f"link of {c.describe_face(face)}"
@@ -98,24 +123,68 @@ def _link_homology_violation(c: Complex, f: FieldSpec, include_empty: bool,
 @lru_cache(maxsize=None)
 def is_cohen_macaulay(c: Complex, f: FieldSpec) -> Verdict:
     """Link homology vanishes below top dimension, for every face."""
-    violation = _link_homology_violation(c, f, include_empty=True)
+    violation = _link_homology_violation(c, f, _faces_ascending(c, include_empty=True))
     return Verdict(violation is None, violation)
 
 
-def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider) -> bool:
-    """Every deletion of fewer than m vertices, smallest first, keeps the
-    dimension of c and passes `decider`; guarded by the subset count."""
+def _touched_faces(c: Complex, subset: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The faces F of c − subset, as vertex tuples of that deletion, with
+    F ∪ {w} a face of c, w the largest vertex of the subset: the faces
+    whose links deleting w changed, the empty face first."""
+    gone, w = c.mask(subset), 1 << subset[-1]
+    masks: set[int] = set()
+    for g in c._facet_masks:
+        if g & w:
+            g &= ~gone
+            sub = g
+            while sub:
+                masks.add(sub)
+                sub = (sub - 1) & g
+    masks.add(0)
+    return [tuple(v - (gone & ((1 << v) - 1)).bit_count() for v in _tuple_of(m))
+            for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
+
+
+def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider, recheck) -> bool:
+    """Every deletion of fewer than m vertices keeps the dimension of c
+    and passes `decider`; guarded by the subset count.
+
+    c itself goes to `decider`.  Deletions come smallest first, so when
+    c − S comes up, its parent P = c − (S − w), w the largest vertex of
+    S, has passed.  By lk_{P−w}(F) = lk_P(F) − w (module docstring) only
+    the faces of lk_P(w) can have changed links: `recheck(rest, f,
+    touched)` gets them, the empty face first, and decides `rest`.
+    """
     total = sum(comb(c.n_vertices, k) for k in range(m))
     if total > _max_subsets:
-        raise RuntimeError(
+        raise SubsetGuardError(
             f"deletion sweep needs {total} subsets, above the guard of {_max_subsets}"
         )
-    for k in range(m):
+    if not decider(c, f):
+        return False
+    for k in range(1, m):
         for subset in itertools.combinations(range(c.n_vertices), k):
-            rest = c if not subset else deletion(c, subset)
-            if rest.dim != c.dim or not decider(rest, f):
+            rest = deletion(c, subset)
+            if rest.dim != c.dim or not recheck(rest, f, _touched_faces(c, subset)):
                 return False
     return True
+
+
+# Each recheck decides `rest`, one deletion from a complex that passed,
+# from its touched faces (see `_deletion_sweep`).
+
+def _cohen_macaulay_recheck(rest: Complex, f: FieldSpec, touched) -> bool:
+    return _link_homology_violation(rest, f, touched) is None
+
+
+def _buchsbaum_recheck(rest: Complex, f: FieldSpec, touched) -> bool:
+    return rest.is_pure and _link_homology_violation(rest, f, touched[1:]) is None
+
+
+def _buchsbaum_star_recheck(rest: Complex, f: FieldSpec, touched) -> bool:
+    # Buchsbaum* complexes are Buchsbaum; the projection test stays global,
+    # as deleting a vertex changes the top cycles of the whole complex.
+    return _buchsbaum_recheck(rest, f, touched) and _projection_violation(rest, f) is None
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +193,7 @@ def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
     dimension (m=1 is plain Cohen-Macaulay, m=2 "doubly")."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    return _deletion_sweep(c, f, m, is_cohen_macaulay)
+    return _deletion_sweep(c, f, m, is_cohen_macaulay, _cohen_macaulay_recheck)
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +201,7 @@ def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
     """Pure, with every nonempty-face link Cohen-Macaulay."""
     if not c.is_pure:
         return Verdict(False, "not pure")
-    violation = _link_homology_violation(c, f, include_empty=False)
+    violation = _link_homology_violation(c, f, _faces_ascending(c, include_empty=False))
     return Verdict(violation is None, violation)
 
 
@@ -141,7 +210,7 @@ def is_m_buchsbaum(c: Complex, f: FieldSpec, m: int) -> bool:
     """Deletions of fewer than m vertices stay Buchsbaum of the same dimension."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    return _deletion_sweep(c, f, m, is_buchsbaum)
+    return _deletion_sweep(c, f, m, is_buchsbaum, _buchsbaum_recheck)
 
 
 def is_doubly_buchsbaum(c: Complex, f: FieldSpec) -> bool:
@@ -161,16 +230,20 @@ def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
     b = is_buchsbaum(c, f)
     if not b:
         return Verdict(False, f"not Buchsbaum: {b.witness}")
-    target = betti_at(c, f, c.dim - 1)
+    violation = _projection_violation(c, f)
+    return Verdict(violation is None, violation)
+
+
+def _projection_violation(c: Complex, f: FieldSpec) -> str | None:
+    """First nonempty face of the Buchsbaum complex c whose contrastar
+    changes the reduced Betti number one below top (module docstring)."""
     for face in _faces_ascending(c, include_empty=False):
         coker = _projection_cokernel(c, f, 0, c.mask(face))
         if coker:
-            return Verdict(
-                False,
-                f"{c.describe_face(face)}: contrastar Betti {target + coker} != {target} "
-                f"in degree {c.dim - 1}",
-            )
-    return Verdict(True)
+            target = betti_at(c, f, c.dim - 1)
+            return (f"{c.describe_face(face)}: contrastar Betti {target + coker} != {target} "
+                    f"in degree {c.dim - 1}")
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -181,14 +254,15 @@ def is_m_buchsbaum_star(c: Complex, f: FieldSpec, m: int) -> bool:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return bool(is_buchsbaum(c, f))
-    return _deletion_sweep(c, f, m, is_buchsbaum_star)
+    return _deletion_sweep(c, f, m, is_buchsbaum_star, _buchsbaum_star_recheck)
 
 
 @lru_cache(maxsize=None)
 def is_gorenstein_star(c: Complex, f: FieldSpec) -> bool:
     """Every link (including the whole complex) has the reduced homology of
     a sphere of its own dimension."""
-    return _link_homology_violation(c, f, include_empty=True, top=1) is None
+    return _link_homology_violation(c, f, _faces_ascending(c, include_empty=True),
+                                    top=1) is None
 
 
 @dataclass(frozen=True)
@@ -311,7 +385,20 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
     ]
     for pre, post in implications:
         if v[pre] and not v[post]:
-            raise RuntimeError(
+            raise ConsistencyError(
                 f"implication violated on {c!r} over {f}: {pre} without {post}"
             )
     return report
+
+
+_MEMOISED = (is_cohen_macaulay, is_m_cohen_macaulay, is_buchsbaum, is_m_buchsbaum,
+             is_buchsbaum_star, is_m_buchsbaum_star, is_gorenstein_star, _manifold_report)
+
+
+def clear_caches() -> None:
+    """Empty the verdict memos here and the homology memos keyed by shape,
+    so no complex decided so far is kept alive by them."""
+    for fn in _MEMOISED:
+        fn.cache_clear()
+    _boundary_ranks.clear()
+    _star_cycles.clear()

@@ -5,14 +5,17 @@ and compute ranks with sympy (rationals) or a hand-rolled column-style
 modular elimination, deliberately sharing no code with the package.  The
 oracles that take a `Complex` use the package's public API:
 `buchsbaum_star_by_contrastars` decides by the definition, rebuilding
-every contrastar, where the package projects top cycles.
+every contrastar, where the package projects top cycles, and
+`deletion_sweep_by_rebuilds` decides the m-fold properties by rebuilding
+and deciding every deletion in full, where the package rechecks only the
+links one deletion touched.
 """
 
 import itertools
 
 import sympy
 
-from bstar.complexes import contrastar
+from bstar.complexes import contrastar, deletion
 from bstar.homology import betti_at
 from bstar.properties import is_buchsbaum
 
@@ -171,3 +174,14 @@ def buchsbaum_star_by_contrastars(c, field):
                 return False, (f"{c.describe_face(face)}: contrastar Betti {got} "
                                f"!= {target} in degree {c.dim - 1}")
     return True, None
+
+
+def deletion_sweep_by_rebuilds(c, field, m, decider):
+    """Every deletion of fewer than m vertices, smallest first, keeps the
+    dimension of c and passes `decider`, each deletion decided in full."""
+    for k in range(m):
+        for subset in itertools.combinations(range(c.n_vertices), k):
+            rest = c if not subset else deletion(c, subset)
+            if rest.dim != c.dim or not decider(rest, field):
+                return False
+    return True

@@ -202,7 +202,11 @@ def test_env_var_guard(tmp_path):
 
     p = tmp_path / "big.txt"
     p.write_text(" ".join(str(i) for i in range(30)) + "\n")
-    env = dict(os.environ, BSTAR_MAX_FACES="100")
+    import bstar
+
+    # the child process imports the same bstar as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(bstar.__file__))
+    env = dict(os.environ, BSTAR_MAX_FACES="100", PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "bstar.cli", "homology", str(p)],
         capture_output=True, text=True, env=env)
@@ -222,3 +226,24 @@ def test_max_faces_guard(capsys, tmp_path):
         assert "guard" in err
     finally:
         complexes.set_max_faces(old)
+
+
+def test_subset_guard_exits_2_and_names_the_guard(capsys, monkeypatch):
+    from bstar import clear_caches, properties
+
+    monkeypatch.setattr(properties, "_max_subsets", properties._max_subsets)
+    clear_caches()  # a memoised verdict would skip the sweep and its guard
+    code, out, err = run_cli(capsys, "check", "named:cross_polytope:3",
+                             "--max-subsets", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "guard of 3" in err
+
+
+def test_broken_implication_exits_3(capsys, monkeypatch):
+    from bstar import properties
+
+    # the torus is not doubly Cohen-Macaulay, so Gorenstein* breaks an implication
+    monkeypatch.setattr(properties, "is_gorenstein_star", lambda c, f: True)
+    code, out, err = run_cli(capsys, "check", "named:torus7", "--field", "q")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error:") and "gorenstein*" in err

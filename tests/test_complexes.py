@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bstar.complexes import (Complex, FaceCountError, cone, contrastar, deletion,
-                             from_facets, get_max_faces, join, link, parse,
-                             predicates, set_max_faces, skeleton, to_json, to_text)
+from bstar.complexes import (Complex, FaceCountError, _maximal, cone, contrastar,
+                             deletion, from_facets, get_max_faces, join, link,
+                             parse, predicates, set_max_faces, skeleton, to_json,
+                             to_text)
 from bstar.constructions import cross_polytope, cycle, example_2_10_i, simplex
 from oracles import closure, faces_by_dim, minimal_nonfaces
 
@@ -213,6 +214,16 @@ def test_flagness_matches_minimal_nonfaces(c):
     p = predicates(c)
     assert p.is_flag == all(len(nf) == 2 for nf in minimal_nonfaces(c))
     assert p.is_pure == c.is_pure == (len({len(f) for f in c.facets}) == 1)
+
+
+@given(st.lists(st.integers(0, 63), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_maximal_is_the_antichain_of_maximal_masks(masks):
+    # duplicates collapse; 0 is dominated by any other mask
+    distinct = set(masks)
+    want = {m for m in distinct if not any(m & k == m and m != k for k in distinct)}
+    got = _maximal(masks)
+    assert len(got) == len(want) and set(got) == want
 
 
 @given(random_complexes())

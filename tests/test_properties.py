@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import buchsbaum_star_by_contrastars
+from oracles import buchsbaum_star_by_contrastars, deletion_sweep_by_rebuilds
 
-from bstar.complexes import cone, deletion, from_facets, skeleton
-from bstar.constructions import (bowtie, example_2_10_i, example_2_10_iii,
+from bstar import clear_caches, properties
+from bstar.complexes import cone, deletion, from_facets, link, skeleton
+from bstar.constructions import (bowtie, cycle, example_2_10_i, example_2_10_iii,
                                  simplex, simplex_boundary, torus7)
 from bstar.linalg import GF2, QQ, FieldSpec
 from bstar.properties import (is_buchsbaum, is_buchsbaum_star, is_cohen_macaulay,
@@ -99,6 +103,41 @@ def test_buchsbaum_star_matches_contrastar_oracle(c):
     for f in (QQ, GF2, FieldSpec(3)):
         v = is_buchsbaum_star(c, f)
         assert (v.ok, v.witness) == buchsbaum_star_by_contrastars(c, f)
+
+
+@given(complexes_up_to_7_vertices())
+@settings(max_examples=150, deadline=None)
+def test_m_fold_deciders_match_full_rebuild_sweep(c):
+    pairs = ((is_m_cohen_macaulay, is_cohen_macaulay), (is_m_buchsbaum, is_buchsbaum),
+             (is_m_buchsbaum_star, is_buchsbaum_star))
+    for f in (QQ, GF2, FieldSpec(3)):
+        for m in (2, 3):
+            for fast, decider in pairs:
+                assert fast(c, f, m) == deletion_sweep_by_rebuilds(c, f, m, decider)
+
+
+def test_deletion_sweep_rechecks_only_touched_links(monkeypatch):
+    # a cycle's own links, then the two neighbours of each deleted vertex
+    calls = []
+
+    def counting_link(c, face):
+        calls.append(face)
+        return link(c, face)
+
+    clear_caches()
+    monkeypatch.setattr(properties, "link", counting_link)
+    assert is_m_cohen_macaulay(cycle(64), QQ, 2)
+    assert len(calls) <= 4 * 64
+
+
+def test_clear_caches_frees_decided_complexes():
+    c = from_facets([(0, 1, 2), (0, 2, 3), (0, 3, 4)])
+    assert is_cohen_macaulay(c, QQ)
+    ref = weakref.ref(c)
+    del c
+    clear_caches()
+    gc.collect()
+    assert ref() is None
 
 
 def test_m_buchsbaum_star(octahedron):
