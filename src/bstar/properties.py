@@ -19,13 +19,33 @@ deciders are pure and memoised (`clear_caches` empties the memos).
 
 The m-fold properties ask the same of every deletion of fewer than m
 vertices.  Deleting commutes with taking links, lk_{Δ−v}(F) = lk_Δ(F) − v,
-which is lk_Δ(F) itself unless F ∪ {v} is a face.  So once Δ passes the
-link test, Δ − v passes it exactly when its dimension is kept (and, for
-Buchsbaum, it stays pure) and the links of the faces of lk_Δ(v) pass in
-Δ − v; the empty face, Δ − v itself, counts for Cohen-Macaulay.  A sweep
-costs the number of vertex subsets times the size of one vertex star,
-plus any global test (the Buchsbaum* projection), not the number of
-subsets times the number of faces.
+which is lk_Δ(F) itself unless F ∪ {v} is a face.
+
+For m = 2 no deletion is built.  Let L be CM of dimension e and v a
+vertex of L.  By excision H_i(L, L − v) ≅ H̃_{i−1}(lk_L v), which
+vanishes for i < e, so the exact sequence of the pair leaves
+H̃_i(L − v) = 0 for i < e − 1 and
+
+    H̃_{e-1}(L − v) ≅ coker(H_e(L) -> H_e(L, L − v)).
+
+Applied to L = Δ and to every L = lk_Δ(G), with H_e(lk G) ≅
+H_d(Δ, cost G) and H_e(lk G, lk G − v) ≅ H_d(Δ, cost (G ∪ v)):
+Δ is doubly Buchsbaum exactly when it is Buchsbaum, every ridge lies in
+at least two facets (each Δ − v stays pure of dimension d), and
+H_d(Δ, cost G) projects onto H_d(Δ, cost (G ∪ v)) for every nonempty
+face G and vertex v of lk G.  Δ is doubly CM exactly when it is CM, the
+same ridge condition holds, and H_d(Δ) projects onto every
+H_d(Δ, cost F), composing the surjections: that is the Buchsbaum* test,
+so `property_report`'s implication doubly CM ⇒ Buchsbaum* holds by
+construction (the `verify` battery checks it against the sweep below).
+
+For m ≥ 3 a sweep builds the deletions.  Once Δ passes the link test,
+Δ − v passes it exactly when its dimension is kept (and, for Buchsbaum,
+it stays pure) and the links of the faces of lk_Δ(v) pass in Δ − v; the
+empty face, Δ − v itself, counts for Cohen-Macaulay.  A sweep costs the
+number of vertex subsets times the size of one vertex star, plus any
+global test (the Buchsbaum* projection), not the number of subsets times
+the number of faces.
 """
 
 from __future__ import annotations
@@ -145,9 +165,21 @@ def _touched_faces(c: Complex, subset: tuple[int, ...]) -> list[tuple[int, ...]]
             for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
 
 
+def _guard_subsets(c: Complex, m: int) -> None:
+    """Refuse an m-fold decision on c that stands for more vertex subsets
+    (deletions of fewer than m vertices, c itself included) than allowed."""
+    total = sum(comb(c.n_vertices, k) for k in range(m))
+    if total > _max_subsets:
+        raise SubsetGuardError(
+            f"deletion sweep needs {total} subsets, above the guard of {_max_subsets}"
+        )
+
+
 def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider, recheck) -> bool:
     """Every deletion of fewer than m vertices keeps the dimension of c
-    and passes `decider`; guarded by the subset count.
+    and passes `decider`; guarded by the subset count.  It decides the
+    m-fold properties for m ≥ 3 and `is_m_buchsbaum_star`; the `verify`
+    battery runs it for m = 2 as the check on the projection criterion.
 
     c itself goes to `decider`.  Deletions come smallest first, so when
     c − S comes up, its parent P = c − (S − w), w the largest vertex of
@@ -155,11 +187,7 @@ def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider, recheck) -> bool:
     the faces of lk_P(w) can have changed links: `recheck(rest, f,
     touched)` gets them, the empty face first, and decides `rest`.
     """
-    total = sum(comb(c.n_vertices, k) for k in range(m))
-    if total > _max_subsets:
-        raise SubsetGuardError(
-            f"deletion sweep needs {total} subsets, above the guard of {_max_subsets}"
-        )
+    _guard_subsets(c, m)
     if not decider(c, f):
         return False
     for k in range(1, m):
@@ -187,12 +215,35 @@ def _buchsbaum_star_recheck(rest: Complex, f: FieldSpec, touched) -> bool:
     return _buchsbaum_recheck(rest, f, touched) and _projection_violation(rest, f) is None
 
 
+def _bits(mask: int):
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
+
+
+def _ridges_shared(c: Complex) -> bool:
+    """Every ridge of the pure complex c lies in at least two facets, so
+    that every one-vertex deletion stays pure of the same dimension."""
+    once: set[int] = set()
+    twice: set[int] = set()
+    for g in c._facet_masks:
+        for bit in _bits(g):
+            (twice if g ^ bit in once else once).add(g ^ bit)
+    return once == twice
+
+
 @lru_cache(maxsize=None)
 def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
     """Deletions of fewer than m vertices stay Cohen-Macaulay of the same
-    dimension (m=1 is plain Cohen-Macaulay, m=2 "doubly")."""
+    dimension (m=1 is plain Cohen-Macaulay, m=2 "doubly", decided by the
+    projection criterion of the module docstring)."""
     if m < 1:
         raise ValueError("m must be at least 1")
+    if m == 2:
+        _guard_subsets(c, m)
+        return (bool(is_cohen_macaulay(c, f)) and _ridges_shared(c)
+                and _projection_violation(c, f) is None)
     return _deletion_sweep(c, f, m, is_cohen_macaulay, _cohen_macaulay_recheck)
 
 
@@ -207,9 +258,17 @@ def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
 
 @lru_cache(maxsize=None)
 def is_m_buchsbaum(c: Complex, f: FieldSpec, m: int) -> bool:
-    """Deletions of fewer than m vertices stay Buchsbaum of the same dimension."""
+    """Deletions of fewer than m vertices stay Buchsbaum of the same
+    dimension (m=2 decided by the pair projections of the module
+    docstring)."""
     if m < 1:
         raise ValueError("m must be at least 1")
+    if m == 2:
+        _guard_subsets(c, m)
+        return (bool(is_buchsbaum(c, f)) and _ridges_shared(c)
+                and all(_projection_cokernel(c, f, t ^ bit, t) == 0
+                        for d in range(1, c.dim + 1) for t in c.face_masks(d)
+                        for bit in _bits(t)))
     return _deletion_sweep(c, f, m, is_buchsbaum, _buchsbaum_recheck)
 
 

@@ -15,6 +15,7 @@ probability.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .complexes import Complex
@@ -45,7 +46,8 @@ def graph_of(c: Complex) -> Graph:
 
 
 def _max_internally_disjoint(adj: list[set[int]], n: int, s: int, t: int) -> int:
-    """Menger count via unit-capacity max-flow with node splitting."""
+    """Menger count via unit-capacity max-flow with node splitting; the
+    flow value does not depend on which augmenting paths are found."""
     # node 2v = v_in, 2v+1 = v_out; v_in -> v_out capacity 1, edges capacity n
     cap: dict[tuple[int, int], int] = {}
     nbr: list[set[int]] = [set() for _ in range(2 * n)]
@@ -67,10 +69,10 @@ def _max_internally_disjoint(adj: list[set[int]], n: int, s: int, t: int) -> int
     flow = 0
     while True:
         prev = {source: source}
-        queue = [source]
+        queue = deque([source])
         while queue and sink not in prev:
-            u = queue.pop(0)
-            for v in sorted(nbr[u]):
+            u = queue.popleft()
+            for v in nbr[u]:
                 if v not in prev and cap.get((u, v), 0) > 0:
                     prev[v] = u
                     queue.append(v)

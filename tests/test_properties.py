@@ -8,8 +8,8 @@ from oracles import buchsbaum_star_by_contrastars, deletion_sweep_by_rebuilds
 
 from bstar import clear_caches, properties
 from bstar.complexes import cone, deletion, from_facets, link, skeleton
-from bstar.constructions import (bowtie, cycle, example_2_10_i, example_2_10_iii,
-                                 simplex, simplex_boundary, torus7)
+from bstar.constructions import (bowtie, corpus, cycle, example_2_10_i,
+                                 example_2_10_iii, simplex, simplex_boundary, torus7)
 from bstar.linalg import GF2, QQ, FieldSpec
 from bstar.properties import (is_buchsbaum, is_buchsbaum_star, is_cohen_macaulay,
                               is_doubly_buchsbaum, is_gorenstein_star,
@@ -126,8 +126,46 @@ def test_deletion_sweep_rechecks_only_touched_links(monkeypatch):
 
     clear_caches()
     monkeypatch.setattr(properties, "link", counting_link)
-    assert is_m_cohen_macaulay(cycle(64), QQ, 2)
+    assert properties._deletion_sweep(cycle(64), QQ, 2, is_cohen_macaulay,
+                                      properties._cohen_macaulay_recheck)
     assert len(calls) <= 4 * 64
+
+
+def test_property_report_builds_no_deletion(monkeypatch):
+    # m = 2 is decided by top-cycle projections, not by deleting vertices
+    calls = []
+
+    def counting_deletion(c, vertices):
+        calls.append(vertices)
+        return deletion(c, vertices)
+
+    clear_caches()
+    monkeypatch.setattr(properties, "deletion", counting_deletion)
+    rep = property_report(cycle(64), QQ)
+    assert rep.verdicts["doubly_cohen_macaulay"] and rep.verdicts["doubly_buchsbaum"]
+    assert calls == []
+
+
+EDGE_CASES = {
+    **{f"simplex{d}": simplex(d) for d in range(4)},  # simplex0 is one point
+    "two_points": from_facets([[0], [1]]),
+    "cone_over_cycle5": cone(cycle(5)),  # a 2-ball with an interior vertex
+    "bowtie": bowtie(),
+    "two_spheres": dict(corpus())["two_spheres"],
+    "star_graph": from_facets([("p", "a"), ("p", "b"), ("p", "c"), ("p", "d")]),
+    "only_empty_face": deletion(simplex(0), [0]),  # the complex {∅}
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_doubly_deciders_on_edge_cases(name):
+    # one point fails only by the ridge condition: its deletion {∅} drops
+    # the dimension, while it is Buchsbaum with no pair of faces to project
+    c = EDGE_CASES[name]
+    for f in (QQ, GF2, FieldSpec(3)):
+        for fast, decider in ((is_m_cohen_macaulay, is_cohen_macaulay),
+                              (is_m_buchsbaum, is_buchsbaum)):
+            assert fast(c, f, 2) == deletion_sweep_by_rebuilds(c, f, 2, decider)
 
 
 def test_clear_caches_frees_decided_complexes():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bstar.constructions import cross_polytope, path, simplex_boundary
 from bstar.rigidity import (Graph, graph_of, is_generically_d_rigid,
@@ -39,6 +41,25 @@ def test_connectivity_matches_cut_oracle(torus):
              Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)}))]
     for g in cases:
         assert vertex_connectivity(g) == connectivity_by_cuts(g.n, g.edges)
+
+
+@st.composite
+def graphs_up_to_8_vertices(draw):
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["complete", "random", "split"]))
+    if kind == "complete":
+        return complete_graph(n)
+    edges = {p for p in itertools.combinations(range(n), 2) if draw(st.booleans())}
+    if kind == "split":  # no edge between the two parts: not connected
+        k = draw(st.integers(1, n - 1))
+        edges = {(a, b) for a, b in edges if (a < k) == (b < k)}
+    return Graph(n, frozenset(edges))
+
+
+@given(graphs_up_to_8_vertices())
+@settings(max_examples=200, deadline=None)
+def test_connectivity_matches_cut_oracle_on_random_graphs(g):
+    assert vertex_connectivity(g) == connectivity_by_cuts(g.n, g.edges)
 
 
 def test_connectivity_requires_two_nodes():
