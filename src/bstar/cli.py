@@ -87,10 +87,19 @@ def _fields(args) -> list[FieldSpec]:
     return [FieldSpec.parse("q"), FieldSpec.parse("gf:2")]
 
 
+def _guard_flag(text: str) -> int:
+    try:
+        return complexes._positive_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _apply_guards(args) -> None:
-    if getattr(args, "max_faces", None):
+    if getattr(args, "max_faces", None) is not None:
         complexes.set_max_faces(args.max_faces)
-    if getattr(args, "max_subsets", None):
+    else:
+        complexes.get_max_faces()  # a malformed BSTAR_MAX_FACES is bad input
+    if getattr(args, "max_subsets", None) is not None:
         properties.set_max_subsets(args.max_subsets)
 
 
@@ -202,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coefficient field: q or gf:<p> (repeatable; "
                             "default: q and gf:2)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--max-faces", type=int, default=None,
+        p.add_argument("--max-faces", type=_guard_flag, default=None,
                        help="face enumeration guard")
-        p.add_argument("--max-subsets", type=int, default=None,
+        p.add_argument("--max-subsets", type=_guard_flag, default=None,
                        help="vertex subset sweep guard")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized rigidity tests")
@@ -228,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
              "named:X OUT | corpus OUTDIR")
     p_con.add_argument("recipe", nargs="+")
     p_con.add_argument("--format", choices=("json", "text"), default="json")
-    p_con.add_argument("--max-faces", type=int, default=None)
+    p_con.add_argument("--max-faces", type=_guard_flag, default=None)
     p_con.set_defaults(fn=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="run the verification battery")
@@ -243,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_guards(args)
     try:
+        _apply_guards(args)
         return args.fn(args)
     except (OSError, ValueError, json.JSONDecodeError, FaceCountError,
             LinalgGuardError, SubsetGuardError) as exc:

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_FACES = 1 << 22
-_max_faces = int(os.environ.get("BSTAR_MAX_FACES", DEFAULT_MAX_FACES))
+_max_faces: int | None = None  # None: BSTAR_MAX_FACES, read on use
 
 
 class FaceCountError(RuntimeError):
@@ -61,7 +61,28 @@ def set_max_faces(n: int) -> None:
 
 
 def get_max_faces() -> int:
-    return _max_faces
+    """The face guard: the value given to `set_max_faces`, else the
+    BSTAR_MAX_FACES environment variable, else DEFAULT_MAX_FACES."""
+    if _max_faces is not None:
+        return _max_faces
+    env = os.environ.get("BSTAR_MAX_FACES")
+    if env is None:
+        return DEFAULT_MAX_FACES
+    try:
+        return _positive_int(env)
+    except ValueError as exc:
+        raise ValueError(f"BSTAR_MAX_FACES {exc}") from None
+
+
+def _positive_int(text: str) -> int:
+    """`text` as an integer of at least 1; anything else is a ValueError."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"must be a positive integer, got {text!r}")
+    return n
 
 
 def _mask_of(indices: Iterable[int]) -> int:
@@ -153,7 +174,7 @@ class Complex:
 
     @cached_property
     def _faces_by_dim(self) -> dict[int, list[int]]:
-        limit = _max_faces
+        limit = get_max_faces()
         seen: set[int] = set()
         for facet in self._facet_masks:
             sub = facet

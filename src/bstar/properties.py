@@ -39,13 +39,8 @@ H_d(Δ, cost F), composing the surjections: that is the Buchsbaum* test,
 so `property_report`'s implication doubly CM ⇒ Buchsbaum* holds by
 construction (the `verify` battery checks it against the sweep below).
 
-For m ≥ 3 a sweep builds the deletions.  Once Δ passes the link test,
-Δ − v passes it exactly when its dimension is kept (and, for Buchsbaum,
-it stays pure) and the links of the faces of lk_Δ(v) pass in Δ − v; the
-empty face, Δ − v itself, counts for Cohen-Macaulay.  A sweep costs the
-number of vertex subsets times the size of one vertex star, plus any
-global test (the Buchsbaum* projection), not the number of subsets times
-the number of faces.
+For m ≥ 3, and for m-fold Buchsbaum*, a sweep builds every deletion
+and decides each one in full.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb
 
-from .complexes import Complex, _rebuild, _tuple_of, deletion, link, predicates
+from .complexes import Complex, _rebuild, deletion, link, predicates
 from .homology import (_boundary_ranks, _embedded_face_set, _projection_cokernel,
                        _star_cycles, betti_at, relative_betti)
 from .linalg import FieldSpec
@@ -128,11 +123,12 @@ def _link_violation(lk: Complex, f: FieldSpec, top: int | None) -> str | None:
     return None
 
 
-def _link_homology_violation(c: Complex, f: FieldSpec, faces,
+def _link_homology_violation(c: Complex, f: FieldSpec, include_empty: bool,
                              top: int | None = None) -> str | None:
-    """First of `faces` (vertex tuples, () for the whole complex) whose
-    link fails the link test (see `_link_violation`)."""
-    for face in faces:
+    """First face, in `_faces_ascending` order, whose link fails the link
+    test (see `_link_violation`); the empty face stands for the whole
+    complex."""
+    for face in _faces_ascending(c, include_empty):
         why = _link_violation(c if not face else link(c, face), f, top)
         if why:
             where = "the whole complex" if not face else f"link of {c.describe_face(face)}"
@@ -143,26 +139,8 @@ def _link_homology_violation(c: Complex, f: FieldSpec, faces,
 @lru_cache(maxsize=None)
 def is_cohen_macaulay(c: Complex, f: FieldSpec) -> Verdict:
     """Link homology vanishes below top dimension, for every face."""
-    violation = _link_homology_violation(c, f, _faces_ascending(c, include_empty=True))
+    violation = _link_homology_violation(c, f, include_empty=True)
     return Verdict(violation is None, violation)
-
-
-def _touched_faces(c: Complex, subset: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The faces F of c − subset, as vertex tuples of that deletion, with
-    F ∪ {w} a face of c, w the largest vertex of the subset: the faces
-    whose links deleting w changed, the empty face first."""
-    gone, w = c.mask(subset), 1 << subset[-1]
-    masks: set[int] = set()
-    for g in c._facet_masks:
-        if g & w:
-            g &= ~gone
-            sub = g
-            while sub:
-                masks.add(sub)
-                sub = (sub - 1) & g
-    masks.add(0)
-    return [tuple(v - (gone & ((1 << v) - 1)).bit_count() for v in _tuple_of(m))
-            for m in sorted(masks, key=lambda m: (m.bit_count(), m))]
 
 
 def _guard_subsets(c: Complex, m: int) -> None:
@@ -175,44 +153,19 @@ def _guard_subsets(c: Complex, m: int) -> None:
         )
 
 
-def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider, recheck) -> bool:
-    """Every deletion of fewer than m vertices keeps the dimension of c
-    and passes `decider`; guarded by the subset count.  It decides the
-    m-fold properties for m ≥ 3 and `is_m_buchsbaum_star`; the `verify`
-    battery runs it for m = 2 as the check on the projection criterion.
-
-    c itself goes to `decider`.  Deletions come smallest first, so when
-    c − S comes up, its parent P = c − (S − w), w the largest vertex of
-    S, has passed.  By lk_{P−w}(F) = lk_P(F) − w (module docstring) only
-    the faces of lk_P(w) can have changed links: `recheck(rest, f,
-    touched)` gets them, the empty face first, and decides `rest`.
-    """
+def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider) -> bool:
+    """Every deletion of fewer than m vertices, c itself included, keeps
+    the dimension of c and passes `decider`, each decided in full and the
+    smallest first; guarded by the subset count.  It decides the m-fold
+    properties for m ≥ 3 and `is_m_buchsbaum_star`; the `verify` battery
+    runs it for m = 2 as the check on the projection criterion."""
     _guard_subsets(c, m)
-    if not decider(c, f):
-        return False
-    for k in range(1, m):
+    for k in range(m):
         for subset in itertools.combinations(range(c.n_vertices), k):
             rest = deletion(c, subset)
-            if rest.dim != c.dim or not recheck(rest, f, _touched_faces(c, subset)):
+            if rest.dim != c.dim or not decider(rest, f):
                 return False
     return True
-
-
-# Each recheck decides `rest`, one deletion from a complex that passed,
-# from its touched faces (see `_deletion_sweep`).
-
-def _cohen_macaulay_recheck(rest: Complex, f: FieldSpec, touched) -> bool:
-    return _link_homology_violation(rest, f, touched) is None
-
-
-def _buchsbaum_recheck(rest: Complex, f: FieldSpec, touched) -> bool:
-    return rest.is_pure and _link_homology_violation(rest, f, touched[1:]) is None
-
-
-def _buchsbaum_star_recheck(rest: Complex, f: FieldSpec, touched) -> bool:
-    # Buchsbaum* complexes are Buchsbaum; the projection test stays global,
-    # as deleting a vertex changes the top cycles of the whole complex.
-    return _buchsbaum_recheck(rest, f, touched) and _projection_violation(rest, f) is None
 
 
 def _bits(mask: int):
@@ -244,7 +197,7 @@ def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
         _guard_subsets(c, m)
         return (bool(is_cohen_macaulay(c, f)) and _ridges_shared(c)
                 and _projection_violation(c, f) is None)
-    return _deletion_sweep(c, f, m, is_cohen_macaulay, _cohen_macaulay_recheck)
+    return _deletion_sweep(c, f, m, is_cohen_macaulay)
 
 
 @lru_cache(maxsize=None)
@@ -252,7 +205,7 @@ def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
     """Pure, with every nonempty-face link Cohen-Macaulay."""
     if not c.is_pure:
         return Verdict(False, "not pure")
-    violation = _link_homology_violation(c, f, _faces_ascending(c, include_empty=False))
+    violation = _link_homology_violation(c, f, include_empty=False)
     return Verdict(violation is None, violation)
 
 
@@ -269,7 +222,7 @@ def is_m_buchsbaum(c: Complex, f: FieldSpec, m: int) -> bool:
                 and all(_projection_cokernel(c, f, t ^ bit, t) == 0
                         for d in range(1, c.dim + 1) for t in c.face_masks(d)
                         for bit in _bits(t)))
-    return _deletion_sweep(c, f, m, is_buchsbaum, _buchsbaum_recheck)
+    return _deletion_sweep(c, f, m, is_buchsbaum)
 
 
 def is_doubly_buchsbaum(c: Complex, f: FieldSpec) -> bool:
@@ -313,15 +266,14 @@ def is_m_buchsbaum_star(c: Complex, f: FieldSpec, m: int) -> bool:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return bool(is_buchsbaum(c, f))
-    return _deletion_sweep(c, f, m, is_buchsbaum_star, _buchsbaum_star_recheck)
+    return _deletion_sweep(c, f, m, is_buchsbaum_star)
 
 
 @lru_cache(maxsize=None)
 def is_gorenstein_star(c: Complex, f: FieldSpec) -> bool:
     """Every link (including the whole complex) has the reduced homology of
     a sphere of its own dimension."""
-    return _link_homology_violation(c, f, _faces_ascending(c, include_empty=True),
-                                    top=1) is None
+    return _link_homology_violation(c, f, include_empty=True, top=1) is None
 
 
 @dataclass(frozen=True)
@@ -348,11 +300,11 @@ def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
         if _link_violation(lk, f, top=1) is None:
             continue
         closed = False
-        if _link_violation(lk, f, top=0) is None and _manifold_report(lk, f).manifold:
+        if _link_violation(lk, f, top=0) is None:
             boundary_faces.add(c.mask(face))
             if ball_note is None:
-                ball_note = (f"boundary recognised by Betti vanishing and "
-                             f"recursion, first at {c.describe_face(face)}")
+                ball_note = (f"boundary recognised by Betti vanishing, "
+                             f"first at {c.describe_face(face)}")
         else:
             return ManifoldReport(
                 False, False, None, False,
@@ -375,9 +327,14 @@ def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
 
     Closed: every nonempty-face link is a homology sphere of complementary
     dimension.  With boundary: links may instead be homology balls (all
-    reduced Betti numbers zero, recursively manifold); the boundary
-    subcomplex collects the faces with ball links.  Orientability is top
-    Betti = number of components (relative to the boundary if nonempty).
+    reduced Betti numbers zero), and the faces with ball links must form
+    a subcomplex, the boundary.  Orientability is top Betti = number of
+    components (relative to the boundary if nonempty).
+
+    Each link is tested once, not recursively as a manifold: a link of
+    lk F is a link of c, lk_{lk F}(G) = lk(F ∪ G), so the loop over all
+    faces decides it, and if the ball-link faces of c form a subcomplex,
+    so do those of every lk F.
     """
     if not c.is_pure:
         raise ValueError("homology manifold recognition requires a pure complex")

@@ -21,9 +21,9 @@ from .constructions import (EarDecomposition, corpus, cross_polytope, example_2_
                             verify_ear_decomposition)
 from .homology import betti, betti_at, relative_betti, relative_surjectivity
 from .linalg import GF2, QQ
-from .properties import (_cohen_macaulay_recheck, _deletion_sweep, is_buchsbaum,
-                         is_buchsbaum_star, is_cohen_macaulay, is_doubly_buchsbaum,
-                         is_homology_manifold, is_m_buchsbaum_star, is_m_cohen_macaulay)
+from .properties import (_deletion_sweep, is_buchsbaum, is_buchsbaum_star,
+                         is_cohen_macaulay, is_doubly_buchsbaum, is_homology_manifold,
+                         is_m_buchsbaum_star, is_m_cohen_macaulay)
 from .rigidity import graph_of, is_generically_d_rigid, vertex_connectivity
 from .vectors import (conjecture_probe, deletion_identity_check, face_vectors,
                       flag_bound_check, h_vector, lbt_check, m_vector_check,
@@ -131,7 +131,7 @@ def check_cm_collapse(entries, fields, minimum_slice=0) -> TheoremResult:
             r.fail(f"CM slice over {f} has only {len(cm_slice)} complexes")
         for name, c in cm_slice:
             a = bool(is_buchsbaum_star(c, f))
-            b = _deletion_sweep(c, f, 2, is_cohen_macaulay, _cohen_macaulay_recheck)
+            b = _deletion_sweep(c, f, 2, is_cohen_macaulay)
             if a != b:
                 r.fail(f"{name} over {f}: Buchsbaum*={a} but doubly CM={b}")
             if not a:

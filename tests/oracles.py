@@ -3,21 +3,23 @@
 The homology oracles work on plain frozensets via explicit subset closure
 and compute ranks with sympy (rationals) or a hand-rolled column-style
 modular elimination, deliberately sharing no code with the package.  The
-oracles that take a `Complex` use the package's public API:
+oracles that take a `Complex` use the package's public API and helpers:
 `buchsbaum_star_by_contrastars` decides by the definition, rebuilding
 every contrastar, where the package projects top cycles, and
-`deletion_sweep_by_rebuilds` decides the m-fold properties by rebuilding
-and deciding every deletion in full, where the package rechecks only the
-links one deletion touched.
+`manifold_report_by_recursion` recognises a manifold with boundary by
+deciding each ball-like link as a manifold in turn, where the package
+tests each link once.  The m-fold projection deciders are compared with
+`properties._deletion_sweep`, which builds and decides every deletion.
 """
 
 import itertools
 
 import sympy
 
-from bstar.complexes import contrastar, deletion
-from bstar.homology import betti_at
-from bstar.properties import is_buchsbaum
+from bstar.complexes import _rebuild, contrastar, link, predicates
+from bstar.homology import _embedded_face_set, betti_at, relative_betti
+from bstar.properties import (ManifoldReport, _faces_ascending, _link_violation,
+                              is_buchsbaum)
 
 
 def closure(facets):
@@ -176,12 +178,39 @@ def buchsbaum_star_by_contrastars(c, field):
     return True, None
 
 
-def deletion_sweep_by_rebuilds(c, field, m, decider):
-    """Every deletion of fewer than m vertices, smallest first, keeps the
-    dimension of c and passes `decider`, each deletion decided in full."""
-    for k in range(m):
-        for subset in itertools.combinations(range(c.n_vertices), k):
-            rest = c if not subset else deletion(c, subset)
-            if rest.dim != c.dim or not decider(rest, field):
-                return False
-    return True
+def manifold_report_by_recursion(c, f):
+    """`is_homology_manifold` with each ball-like link required to be a
+    homology manifold itself, decided by recursion."""
+    if not c.is_pure:
+        return ManifoldReport(False, False, None, False, "not pure")
+    d = c.dim
+    if d == 0:
+        return ManifoldReport(True, True, None, True)
+    boundary_faces = set()
+    ball_note = None
+    closed = True
+    for face in _faces_ascending(c, include_empty=False):
+        lk = link(c, face)
+        if _link_violation(lk, f, top=1) is None:
+            continue
+        closed = False
+        if _link_violation(lk, f, top=0) is None and manifold_report_by_recursion(lk, f).manifold:
+            boundary_faces.add(c.mask(face))
+            if ball_note is None:
+                ball_note = (f"boundary recognised by Betti vanishing and "
+                             f"recursion, first at {c.describe_face(face)}")
+        else:
+            return ManifoldReport(
+                False, False, None, False,
+                f"link of {c.describe_face(face)} is neither a homology "
+                f"sphere nor a homology ball",
+            )
+    ncomp = len(predicates(c).components)
+    if closed:
+        return ManifoldReport(True, True, None, betti_at(c, f, d) == ncomp)
+    bcomplex = _rebuild(sorted(boundary_faces), c)
+    if _embedded_face_set(bcomplex, c) != boundary_faces | {0}:
+        return ManifoldReport(False, False, None, False,
+                              "boundary faces do not form a subcomplex")
+    orientable = relative_betti(c, bcomplex, f, d) == ncomp
+    return ManifoldReport(True, False, bcomplex, orientable, ball_note)

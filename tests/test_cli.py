@@ -195,23 +195,48 @@ def test_verify_builtin(capsys):
     assert len(data["results"]) >= 12
 
 
-def test_env_var_guard(tmp_path):
+def run_child(*argv, **env):
+    """Exit code and stderr of `python -m bstar.cli argv` in a fresh process."""
     import os
     import subprocess
     import sys
 
-    p = tmp_path / "big.txt"
-    p.write_text(" ".join(str(i) for i in range(30)) + "\n")
     import bstar
 
     # the child process imports the same bstar as the tests, installed or not
     src = os.path.dirname(os.path.dirname(bstar.__file__))
-    env = dict(os.environ, BSTAR_MAX_FACES="100", PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-m", "bstar.cli", "homology", str(p)],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
-    assert "guard" in proc.stderr
+        [sys.executable, "-m", "bstar.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src, **env))
+    return proc.returncode, proc.stderr
+
+
+def test_env_var_guard(tmp_path):
+    p = tmp_path / "big.txt"
+    p.write_text(" ".join(str(i) for i in range(30)) + "\n")
+    code, err = run_child("homology", str(p), BSTAR_MAX_FACES="100")
+    assert code == 2
+    assert "guard" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_malformed_env_var_guard_exits_2(value):
+    code, err = run_child("homology", "named:cycle:5", BSTAR_MAX_FACES=value)
+    assert code == 2
+    assert err.startswith("error:") and "BSTAR_MAX_FACES" in err
+    assert "Traceback" not in err
+    code, err = run_child("--help", BSTAR_MAX_FACES=value)
+    assert code == 0 and err == ""  # importing bstar does not read the variable
+
+
+@pytest.mark.parametrize("flag", ["--max-faces", "--max-subsets"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_guard_flags_take_only_positive_integers(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "named:cycle:5", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "positive integer" in err
 
 
 def test_max_faces_guard(capsys, tmp_path):

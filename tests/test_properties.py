@@ -4,10 +4,10 @@ import weakref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import buchsbaum_star_by_contrastars, deletion_sweep_by_rebuilds
+from oracles import buchsbaum_star_by_contrastars, manifold_report_by_recursion
 
 from bstar import clear_caches, properties
-from bstar.complexes import cone, deletion, from_facets, link, skeleton
+from bstar.complexes import cone, deletion, from_facets, skeleton
 from bstar.constructions import (bowtie, corpus, cycle, example_2_10_i,
                                  example_2_10_iii, simplex, simplex_boundary, torus7)
 from bstar.linalg import GF2, QQ, FieldSpec
@@ -108,27 +108,10 @@ def test_buchsbaum_star_matches_contrastar_oracle(c):
 @given(complexes_up_to_7_vertices())
 @settings(max_examples=150, deadline=None)
 def test_m_fold_deciders_match_full_rebuild_sweep(c):
-    pairs = ((is_m_cohen_macaulay, is_cohen_macaulay), (is_m_buchsbaum, is_buchsbaum),
-             (is_m_buchsbaum_star, is_buchsbaum_star))
     for f in (QQ, GF2, FieldSpec(3)):
-        for m in (2, 3):
-            for fast, decider in pairs:
-                assert fast(c, f, m) == deletion_sweep_by_rebuilds(c, f, m, decider)
-
-
-def test_deletion_sweep_rechecks_only_touched_links(monkeypatch):
-    # a cycle's own links, then the two neighbours of each deleted vertex
-    calls = []
-
-    def counting_link(c, face):
-        calls.append(face)
-        return link(c, face)
-
-    clear_caches()
-    monkeypatch.setattr(properties, "link", counting_link)
-    assert properties._deletion_sweep(cycle(64), QQ, 2, is_cohen_macaulay,
-                                      properties._cohen_macaulay_recheck)
-    assert len(calls) <= 4 * 64
+        for fast, decider in ((is_m_cohen_macaulay, is_cohen_macaulay),
+                              (is_m_buchsbaum, is_buchsbaum)):
+            assert fast(c, f, 2) == properties._deletion_sweep(c, f, 2, decider)
 
 
 def test_property_report_builds_no_deletion(monkeypatch):
@@ -165,7 +148,7 @@ def test_doubly_deciders_on_edge_cases(name):
     for f in (QQ, GF2, FieldSpec(3)):
         for fast, decider in ((is_m_cohen_macaulay, is_cohen_macaulay),
                               (is_m_buchsbaum, is_buchsbaum)):
-            assert fast(c, f, 2) == deletion_sweep_by_rebuilds(c, f, 2, decider)
+            assert fast(c, f, 2) == properties._deletion_sweep(c, f, 2, decider)
 
 
 def test_clear_caches_frees_decided_complexes():
@@ -176,6 +159,11 @@ def test_clear_caches_frees_decided_complexes():
     clear_caches()
     gc.collect()
     assert ref() is None
+
+
+def test_clear_caches_covers_every_memo():
+    memos = {fn for fn in vars(properties).values() if hasattr(fn, "cache_clear")}
+    assert memos == set(properties._MEMOISED)
 
 
 def test_m_buchsbaum_star(octahedron):
@@ -225,6 +213,34 @@ def test_homology_manifold_ball(octahedron):
     rep = is_homology_manifold(ball, QQ)
     assert rep.manifold and not rep.closed and rep.orientable
     assert rep.boundary.f_vector() == octahedron.f_vector()
+
+
+@st.composite
+def pure_complexes_up_to_7_vertices(draw):
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(2, min(n, 4)))
+    facets = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=10))
+    c = from_facets([p[:k] for p in facets])
+    # cones are balls when c is a sphere or a ball; deleting a vertex of a
+    # closed manifold leaves a manifold with boundary
+    if draw(st.booleans()):
+        c = cone(c)
+    if draw(st.booleans()):
+        rest = deletion(c, [draw(st.integers(0, c.n_vertices - 1))])
+        if rest.is_pure and rest.dim == c.dim:
+            c = rest
+    return c
+
+
+@given(pure_complexes_up_to_7_vertices())
+@settings(max_examples=200, deadline=None)
+def test_homology_manifold_matches_recursive_oracle(c):
+    def summary(rep):
+        return (rep.manifold, rep.closed, rep.orientable,
+                None if rep.boundary is None else rep.boundary._facet_masks)
+
+    for f in (QQ, GF2, FieldSpec(3)):
+        assert summary(is_homology_manifold(c, f)) == summary(manifold_report_by_recursion(c, f))
 
 
 def test_property_report_counterexample():
