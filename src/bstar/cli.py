@@ -252,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    guards = complexes._max_faces, properties._max_subsets
     try:
         _apply_guards(args)
         return args.fn(args)
@@ -262,6 +263,8 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        complexes._max_faces, properties._max_subsets = guards
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ class Complex:
         return tuple(_tuple_of(m) for m in self._facet_masks)
 
     @cached_property
-    def _faces_by_dim(self) -> dict[int, list[int]]:
+    def _faces_by_dim(self) -> dict[int, tuple[int, ...]]:
         limit = get_max_faces()
         seen: set[int] = set()
         for facet in self._facet_masks:
@@ -191,16 +191,15 @@ class Complex:
         buckets: dict[int, list[int]] = {}
         for m in seen:
             buckets.setdefault(m.bit_count() - 1, []).append(m)
-        for d in buckets:
-            buckets[d].sort(key=_tuple_of)
-        return buckets
+        return {d: tuple(sorted(ms, key=_tuple_of)) for d, ms in buckets.items()}
 
     def faces(self, d: int) -> list[tuple[int, ...]]:
         """All faces of dimension exactly d (empty list if out of range)."""
         return [_tuple_of(m) for m in self._faces_by_dim.get(d, [])]
 
-    def face_masks(self, d: int) -> list[int]:
-        return list(self._faces_by_dim.get(d, []))
+    def face_masks(self, d: int) -> tuple[int, ...]:
+        """The stored (not copied) masks of the d-faces, in `faces` order."""
+        return self._faces_by_dim.get(d, ())
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_-1, f_0, ..., f_{dim}); f_-1 is always 1."""

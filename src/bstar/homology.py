@@ -72,31 +72,31 @@ def _boundary(c: Complex, d: int, keep=None):
     return columns, cells, rows
 
 
-# Ranks of boundary maps, keyed by the shape of the complex (vertex
-# count and facet masks), not by the complex: ranks do not depend on
-# labels, and the key keeps no complex alive.
-_boundary_ranks: dict[tuple, int] = {}
+# Reduced Betti vectors keyed by shape (vertex count, facet masks) and field,
+# not by the complex: they do not depend on labels, the key keeps no complex
+# alive, and a hit enumerates no face.
+_betti_tables: dict[tuple, BettiTable] = {}
 
 
-def _boundary_rank(c: Complex, field: FieldSpec, i: int) -> int:
-    key = (c.n_vertices, c._facet_masks, field, i)
-    r = _boundary_ranks.get(key)
-    if r is None:
-        columns, _, rows = _boundary(c, i)
-        r = _boundary_ranks[key] = sparse_rank(columns, len(rows), field)
-    return r
+def betti(c: Complex, field: FieldSpec) -> BettiTable:
+    key = (c.n_vertices, c._facet_masks, field)
+    table = _betti_tables.get(key)
+    if table is None:
+        ranks = [0]  # ranks[i + 1]: rank of the boundary out of the i-cells, i = -1..dim+1
+        for i in range(0, c.dim + 1):
+            columns, _, rows = _boundary(c, i)
+            ranks.append(sparse_rank(columns, len(rows), field))
+            del columns, rows  # one matrix alive at a time
+        ranks.append(0)
+        table = _betti_tables[key] = BettiTable(field, tuple(
+            len(c.face_masks(i)) - ranks[i + 1] - ranks[i + 2]
+            for i in range(-1, c.dim + 1)))
+    return table
 
 
 def betti_at(c: Complex, field: FieldSpec, i: int) -> int:
     """Single reduced Betti number; 0 outside -1..dim."""
-    if i < -1 or i > c.dim:
-        return 0
-    return (len(c.face_masks(i)) - _boundary_rank(c, field, i)
-            - _boundary_rank(c, field, i + 1))
-
-
-def betti(c: Complex, field: FieldSpec) -> BettiTable:
-    return BettiTable(field, tuple(betti_at(c, field, i) for i in range(-1, c.dim + 1)))
+    return betti(c, field).at(i)
 
 
 def reduced_euler_characteristic(c: Complex) -> int:
@@ -174,7 +174,7 @@ def first_nonbounding_cycle(a: Complex, c: Complex, i: int, field: FieldSpec):
     return None
 
 
-# Top cycles of stars, keyed like `_boundary_ranks` plus the face mask.
+# Top cycles of stars, keyed like `_betti_tables` plus the face mask.
 _star_cycles: dict[tuple, tuple] = {}
 
 

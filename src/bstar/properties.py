@@ -5,6 +5,7 @@ Cohen-Macaulay: no link (the whole complex included) has reduced
 homology below its top dimension.  Buchsbaum: pure, and the same for the
 links of nonempty faces.  Gorenstein*: the CM test with top Betti number
 1.  Homology manifold: links pass it with top Betti 1 (sphere) or 0 (ball).
+Each filters the reduced Betti vectors of links, memoised by shape.
 
 Buchsbaum*: removing the open star of any nonempty face F keeps the
 reduced Betti number one below the top dimension d.  For a Buchsbaum
@@ -35,9 +36,9 @@ at least two facets (each Δ − v stays pure of dimension d), and
 H_d(Δ, cost G) projects onto H_d(Δ, cost (G ∪ v)) for every nonempty
 face G and vertex v of lk G.  Δ is doubly CM exactly when it is CM, the
 same ridge condition holds, and H_d(Δ) projects onto every
-H_d(Δ, cost F), composing the surjections: that is the Buchsbaum* test,
-so `property_report`'s implication doubly CM ⇒ Buchsbaum* holds by
-construction (the `verify` battery checks it against the sweep below).
+H_d(Δ, cost F): that is the Buchsbaum* test (CM is pure and Buchsbaum),
+so doubly CM reads the Buchsbaum* verdict and doubly CM ⇒ Buchsbaum*
+holds by construction (`verify` checks it against the sweep below).
 
 For m ≥ 3, and for m-fold Buchsbaum*, a sweep builds every deletion
 and decides each one in full.
@@ -52,8 +53,8 @@ from functools import lru_cache
 from math import comb
 
 from .complexes import Complex, _rebuild, deletion, link, predicates
-from .homology import (_boundary_ranks, _embedded_face_set, _projection_cokernel,
-                       _star_cycles, betti_at, relative_betti)
+from .homology import (_betti_tables, _embedded_face_set, _projection_cokernel,
+                       _star_cycles, betti, betti_at, relative_betti)
 from .linalg import FieldSpec
 
 __all__ = [
@@ -111,15 +112,15 @@ def _faces_ascending(c: Complex, include_empty: bool):
             yield t
 
 
-def _link_violation(lk: Complex, f: FieldSpec, top: int | None) -> str | None:
-    """Why the link lk fails the link test: nonzero reduced homology below
-    its own top dimension, or, unless `top` is None, a top reduced Betti
-    number other than `top`."""
-    for i in range(-1, lk.dim):
-        if betti_at(lk, f, i) != 0:
+def _link_violation(b: tuple[int, ...], top: int | None) -> str | None:
+    """Why a link with reduced Betti vector b fails the link test: nonzero
+    reduced homology below its top dimension, or, unless `top` is None, a
+    top reduced Betti number other than `top`."""
+    for i, x in enumerate(b[:-1], start=-1):
+        if x:
             return f"has nonzero reduced homology in degree {i}"
-    if top is not None and betti_at(lk, f, lk.dim) != top:
-        return f"has top reduced Betti number {betti_at(lk, f, lk.dim)}, expected {top}"
+    if top is not None and b[-1] != top:
+        return f"has top reduced Betti number {b[-1]}, expected {top}"
     return None
 
 
@@ -129,7 +130,7 @@ def _link_homology_violation(c: Complex, f: FieldSpec, include_empty: bool,
     test (see `_link_violation`); the empty face stands for the whole
     complex."""
     for face in _faces_ascending(c, include_empty):
-        why = _link_violation(c if not face else link(c, face), f, top)
+        why = _link_violation(betti(c if not face else link(c, face), f).betti, top)
         if why:
             where = "the whole complex" if not face else f"link of {c.describe_face(face)}"
             return f"{where} {why}"
@@ -189,14 +190,14 @@ def _ridges_shared(c: Complex) -> bool:
 @lru_cache(maxsize=None)
 def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
     """Deletions of fewer than m vertices stay Cohen-Macaulay of the same
-    dimension (m=1 is plain Cohen-Macaulay, m=2 "doubly", decided by the
-    projection criterion of the module docstring)."""
+    dimension (m=1 is plain Cohen-Macaulay, m=2 "doubly": CM, ridges shared
+    and Buchsbaum*, by the projection criterion of the module docstring)."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if m == 2:
         _guard_subsets(c, m)
         return (bool(is_cohen_macaulay(c, f)) and _ridges_shared(c)
-                and _projection_violation(c, f) is None)
+                and bool(is_buchsbaum_star(c, f)))
     return _deletion_sweep(c, f, m, is_cohen_macaulay)
 
 
@@ -242,20 +243,13 @@ def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
     b = is_buchsbaum(c, f)
     if not b:
         return Verdict(False, f"not Buchsbaum: {b.witness}")
-    violation = _projection_violation(c, f)
-    return Verdict(violation is None, violation)
-
-
-def _projection_violation(c: Complex, f: FieldSpec) -> str | None:
-    """First nonempty face of the Buchsbaum complex c whose contrastar
-    changes the reduced Betti number one below top (module docstring)."""
     for face in _faces_ascending(c, include_empty=False):
         coker = _projection_cokernel(c, f, 0, c.mask(face))
         if coker:
             target = betti_at(c, f, c.dim - 1)
-            return (f"{c.describe_face(face)}: contrastar Betti {target + coker} != {target} "
-                    f"in degree {c.dim - 1}")
-    return None
+            return Verdict(False, f"{c.describe_face(face)}: contrastar Betti "
+                                  f"{target + coker} != {target} in degree {c.dim - 1}")
+    return Verdict(True)
 
 
 @lru_cache(maxsize=None)
@@ -296,11 +290,11 @@ def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
     ball_note = None
     closed = True
     for face in _faces_ascending(c, include_empty=False):
-        lk = link(c, face)
-        if _link_violation(lk, f, top=1) is None:
+        b = betti(link(c, face), f).betti
+        if _link_violation(b, top=1) is None:
             continue
         closed = False
-        if _link_violation(lk, f, top=0) is None:
+        if _link_violation(b, top=0) is None:
             boundary_faces.add(c.mask(face))
             if ball_note is None:
                 ball_note = (f"boundary recognised by Betti vanishing, "
@@ -374,11 +368,12 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
             report.verdicts[name] = bool(result)
         return result
 
+    # each decider runs after those it reads, so its timing is its own work
     run("cohen_macaulay", lambda: is_cohen_macaulay(c, f))
-    run("doubly_cohen_macaulay", lambda: is_m_cohen_macaulay(c, f, 2))
     run("buchsbaum", lambda: is_buchsbaum(c, f))
-    run("doubly_buchsbaum", lambda: is_doubly_buchsbaum(c, f))
     run("buchsbaum*", lambda: is_buchsbaum_star(c, f))
+    run("doubly_cohen_macaulay", lambda: is_m_cohen_macaulay(c, f, 2))
+    run("doubly_buchsbaum", lambda: is_doubly_buchsbaum(c, f))
     run("gorenstein*", lambda: is_gorenstein_star(c, f))
     if c.is_pure:
         mrep = is_homology_manifold(c, f)
@@ -416,5 +411,5 @@ def clear_caches() -> None:
     so no complex decided so far is kept alive by them."""
     for fn in _MEMOISED:
         fn.cache_clear()
-    _boundary_ranks.clear()
+    _betti_tables.clear()
     _star_cycles.clear()

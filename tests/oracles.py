@@ -17,7 +17,7 @@ import itertools
 import sympy
 
 from bstar.complexes import _rebuild, contrastar, link, predicates
-from bstar.homology import _embedded_face_set, betti_at, relative_betti
+from bstar.homology import _embedded_face_set, betti, betti_at, relative_betti
 from bstar.properties import (ManifoldReport, _faces_ascending, _link_violation,
                               is_buchsbaum)
 
@@ -191,10 +191,11 @@ def manifold_report_by_recursion(c, f):
     closed = True
     for face in _faces_ascending(c, include_empty=False):
         lk = link(c, face)
-        if _link_violation(lk, f, top=1) is None:
+        b = betti(lk, f).betti
+        if _link_violation(b, top=1) is None:
             continue
         closed = False
-        if _link_violation(lk, f, top=0) is None and manifold_report_by_recursion(lk, f).manifold:
+        if _link_violation(b, top=0) is None and manifold_report_by_recursion(lk, f).manifold:
             boundary_faces.add(c.mask(face))
             if ball_note is None:
                 ball_note = (f"boundary recognised by Betti vanishing and "

@@ -239,18 +239,27 @@ def test_guard_flags_take_only_positive_integers(capsys, flag, value):
     assert flag in err and "positive integer" in err
 
 
-def test_max_faces_guard(capsys, tmp_path):
+def test_max_faces_guard(capsys, tmp_path, monkeypatch):
     from bstar import complexes
 
     p = tmp_path / "big.txt"
     p.write_text(" ".join(str(i) for i in range(30)) + "\n")
-    old = complexes.get_max_faces()
-    try:
-        code, _, err = run_cli(capsys, "homology", str(p), "--max-faces", "100")
-        assert code == 2
-        assert "guard" in err
-    finally:
-        complexes.set_max_faces(old)
+    monkeypatch.setattr(complexes, "_max_faces", complexes._max_faces)
+    code, _, err = run_cli(capsys, "homology", str(p), "--max-faces", "100")
+    assert code == 2
+    assert "guard" in err
+
+
+def test_guards_do_not_outlive_the_command(capsys):
+    from bstar import clear_caches, complexes, properties
+
+    clear_caches()  # a memoised verdict would skip the sweep and its guard
+    assert run_cli(capsys, "check", "named:cycle:5", "--max-subsets", "3")[0] == 2
+    assert run_cli(capsys, "homology", "named:cycle:5", "--max-faces", "100")[0] == 0
+    assert complexes._max_faces is None
+    assert properties._max_subsets == properties.DEFAULT_MAX_SUBSETS
+    clear_caches()
+    assert run_cli(capsys, "check", "named:cross_polytope:3")[0] == 0
 
 
 def test_subset_guard_exits_2_and_names_the_guard(capsys, monkeypatch):

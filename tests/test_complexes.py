@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bstar import complexes
 from bstar.complexes import (Complex, FaceCountError, _maximal, cone, contrastar,
-                             deletion, from_facets, get_max_faces, join, link,
+                             deletion, from_facets, join, link,
                              parse, predicates, set_max_faces, skeleton, to_json,
                              to_text)
 from bstar.constructions import cross_polytope, cycle, example_2_10_i, simplex
@@ -318,12 +319,9 @@ def test_serialization_stable(torus):
     assert data["facets"] == sorted(data["facets"])
 
 
-def test_face_guard():
-    old = get_max_faces()
+def test_face_guard(monkeypatch):
+    monkeypatch.setattr(complexes, "_max_faces", complexes._max_faces)
     set_max_faces(10)
-    try:
-        c = from_facets([range(6)])
-        with pytest.raises(FaceCountError):
-            c.f_vector()
-    finally:
-        set_max_faces(old)
+    c = from_facets([range(6)])
+    with pytest.raises(FaceCountError):
+        c.f_vector()

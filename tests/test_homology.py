@@ -158,17 +158,17 @@ def test_rank_cache_keyed_by_shape():
     assert letters != numbers
     shape = (letters.n_vertices, letters._facet_masks)
     assert shape == (numbers.n_vertices, numbers._facet_masks)
-    cache = homology._boundary_ranks
+    cache = homology._betti_tables
 
     def betti_of(c):
-        return [betti_at(c, f, i) for f in (QQ, GF2) for i in range(-1, 3)]
+        return [betti(c, f) for f in (QQ, GF2)]
 
     first = betti_of(letters)
-    assert {k[2:] for k in cache if k[:2] == shape} == {
-        (f, i) for f in (QQ, GF2) for i in range(-1, 4)}
+    assert {k[2:] for k in cache if k[:2] == shape} == {(QQ,), (GF2,)}
     size = len(cache)
     assert betti_of(numbers) == first
     assert len(cache) == size
+    assert "_faces_by_dim" not in numbers.__dict__  # a hit enumerates no face
 
 
 def test_rank_cache_keeps_no_complex_alive():

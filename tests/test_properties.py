@@ -8,7 +8,7 @@ from oracles import buchsbaum_star_by_contrastars, manifold_report_by_recursion
 
 from bstar import clear_caches, properties
 from bstar.complexes import cone, deletion, from_facets, skeleton
-from bstar.constructions import (bowtie, corpus, cycle, example_2_10_i,
+from bstar.constructions import (bowtie, corpus, cross_polytope, cycle, example_2_10_i,
                                  example_2_10_iii, simplex, simplex_boundary, torus7)
 from bstar.linalg import GF2, QQ, FieldSpec
 from bstar.properties import (is_buchsbaum, is_buchsbaum_star, is_cohen_macaulay,
@@ -127,6 +127,25 @@ def test_property_report_builds_no_deletion(monkeypatch):
     rep = property_report(cycle(64), QQ)
     assert rep.verdicts["doubly_cohen_macaulay"] and rep.verdicts["doubly_buchsbaum"]
     assert calls == []
+
+
+def test_property_report_projects_once_per_face(monkeypatch):
+    # doubly CM reads the Buchsbaum* verdict instead of repeating its sweep
+    absolute = []
+
+    def counting_cokernel(c, f, sm, tm):
+        if sm == 0:
+            absolute.append(tm)
+        return projection_cokernel(c, f, sm, tm)
+
+    projection_cokernel = properties._projection_cokernel
+    clear_caches()
+    monkeypatch.setattr(properties, "_projection_cokernel", counting_cokernel)
+    c = cross_polytope(3)
+    rep = property_report(c, QQ)
+    assert rep.verdicts["buchsbaum*"] and rep.verdicts["doubly_cohen_macaulay"]
+    assert sorted(absolute) == sorted(c.mask(t) for d in range(c.dim + 1) for t in c.faces(d))
+    assert len(absolute) == 26
 
 
 EDGE_CASES = {
