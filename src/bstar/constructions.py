@@ -275,13 +275,6 @@ class EarReport:
         }
 
 
-def _union_face_sets(pieces, ambient) -> set[int]:
-    out: set[int] = set()
-    for piece in pieces:
-        out |= _embedded_face_set(piece, ambient)
-    return out
-
-
 def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) -> EarReport:
     """Mechanically check the gluing hypotheses: the first piece is a
     closed orientable homology manifold of ambient dimension, every later
@@ -303,7 +296,8 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
     ambient_faces = {0}
     for dd in range(0, d + 1):
         ambient_faces |= set(ambient.face_masks(dd))
-    union_ok = _union_face_sets(pieces, ambient) == ambient_faces
+    piece_faces = [_embedded_face_set(p, ambient) for p in pieces]
+    union_ok = set().union(*piece_faces) == ambient_faces
 
     base = pieces[0]
     base_rep = is_homology_manifold(base, field) if base.is_pure \
@@ -319,8 +313,8 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
 
     ears = []
     hypotheses_ok = union_ok and base_ok
-    prior = [base]
-    for k, piece in enumerate(pieces[1:], start=2):
+    prior_faces = set(piece_faces[0])
+    for k, (piece, faces) in enumerate(zip(pieces[1:], piece_faces[1:]), start=2):
         ear: dict = {"piece": k}
         rep = is_homology_manifold(piece, field) if piece.is_pure else None
         conn = len(predicates(piece).components) == 1
@@ -338,13 +332,11 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
             ear["boundary_ok"] = False
         if boundary is not None:
             bfaces = _embedded_face_set(boundary, ambient)
-            inter = _embedded_face_set(piece, ambient) & _union_face_sets(prior, ambient)
-            ear["boundary_matches_intersection"] = bfaces == inter
+            ear["boundary_matches_intersection"] = bfaces == faces & prior_faces
         else:
             ear["boundary_matches_intersection"] = False
 
-        prior_union_masks = _union_face_sets(prior, ambient)
-        prior_union = _rebuild([m for m in prior_union_masks if m], ambient)
+        prior_union = _rebuild([m for m in prior_faces if m], ambient)
         # zero-map conditions live one and two degrees below the ambient
         # (top) dimension d, i.e. in dim-1 and dim-2 of the complex
         for off, keyname in ((1, "attachment_null_homologous_top"),
@@ -370,7 +362,7 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
                                "attachment_null_homologous_top",
                                "attachment_null_homologous_below"))
         ears.append(ear)
-        prior.append(piece)
+        prior_faces |= faces
 
     bstar = None
     consistent = True

@@ -22,8 +22,9 @@ its entries.  Over GF(p) the entries are ints, taken mod p, or
 ``Fraction``s, a/b taken as a times the inverse of b mod p (a ValueError
 if p divides b).
 ``sparse_rank``, ``sparse_nullspace`` and ``sparse_in_span`` take this
-format.  ``rank``, ``nullspace_basis`` and ``in_column_space`` take dense
-matrices, sequences of equal-length rows, and convert them to it.
+format; they are the one entry point per operation.  ``rank``,
+``nullspace_basis`` and ``in_column_space`` take dense matrices, sequences
+of equal-length rows, convert them to it and call them.
 
 Every path refuses a matrix of more than ``set_max_cells`` rows x columns,
 and checks each kernel vector against the matrix before returning it.
@@ -210,9 +211,18 @@ def _eliminate(col: dict, other: dict, low: int, p: int | None) -> dict:
     return col
 
 
-def _kernel(columns, nrows: int, p: int | None) -> list[dict]:
-    """Kernel basis as {column: coefficient} dicts, one per free column,
-    scaled to 1 there; each is checked to annihilate `columns`."""
+def sparse_rank(columns, nrows: int, field: FieldSpec) -> int:
+    """Exact rank over `field` of a sparse matrix (see the column format)."""
+    return _reduce(columns, nrows, field.p)[0]
+
+
+def sparse_nullspace(columns, nrows: int, field: FieldSpec) -> list[dict]:
+    """Basis of the right kernel of a sparse matrix over `field`, one
+    {column: coefficient} dict per free column, 1 at that column and 0 at
+    the other free columns.  Coefficients are ``Fraction``s over the
+    rationals and residues over GF(p).  Each is checked to annihilate
+    `columns`."""
+    p = field.p
     basis = []
     for j, rec in _reduce(columns, nrows, p, record=True)[1]:
         image: dict[int, int] = {}
@@ -230,27 +240,10 @@ def _kernel(columns, nrows: int, p: int | None) -> list[dict]:
     return basis
 
 
-def _in_span(columns, nrows: int, vector: dict, p: int | None) -> bool:
-    free = _reduce([*columns, vector], nrows, p)[1]
-    return bool(free) and free[-1][0] == len(columns)
-
-
-def sparse_rank(columns, nrows: int, field: FieldSpec) -> int:
-    """Exact rank over `field` of a sparse matrix (see the column format)."""
-    return _reduce(columns, nrows, field.p)[0]
-
-
-def sparse_nullspace(columns, nrows: int, field: FieldSpec) -> list[dict]:
-    """Basis of the right kernel of a sparse matrix over `field`, one
-    {column: coefficient} dict per free column, 1 at that column and 0 at
-    the other free columns.  Coefficients are ``Fraction``s over the
-    rationals and residues over GF(p)."""
-    return _kernel(columns, nrows, field.p)
-
-
 def sparse_in_span(columns, nrows: int, vector: dict, field: FieldSpec) -> bool:
     """True iff the sparse column `vector` is a linear combination of `columns`."""
-    return _in_span(columns, nrows, vector, field.p)
+    free = _reduce([*columns, vector], nrows, field.p)[1]
+    return bool(free) and free[-1][0] == len(columns)
 
 
 def _columns(matrix) -> list[dict]:
@@ -271,7 +264,7 @@ def _columns(matrix) -> list[dict]:
 
 def rank(matrix, field: FieldSpec) -> int:
     """Exact rank of `matrix` over `field`."""
-    return _reduce(_columns(matrix), len(matrix), field.p)[0]
+    return sparse_rank(_columns(matrix), len(matrix), field)
 
 
 def nullspace_basis(matrix, field: FieldSpec) -> list[list]:
@@ -282,7 +275,7 @@ def nullspace_basis(matrix, field: FieldSpec) -> list[list]:
     columns = _columns(matrix)
     zero = Fraction(0) if field.is_rational else 0
     basis = []
-    for vec in _kernel(columns, len(matrix), field.p):
+    for vec in sparse_nullspace(columns, len(matrix), field):
         v = [zero] * len(columns)
         for j, x in vec.items():
             v[j] = x
@@ -296,7 +289,5 @@ def in_column_space(matrix, vector, field: FieldSpec) -> bool:
     nrows = len(matrix)
     if len(vector) != nrows:
         raise ValueError("vector length does not match row count")
-    if nrows == 0:
-        return True
     target = {i: x for i, x in enumerate(vector) if x}
-    return _in_span(columns, nrows, target, field.p)
+    return sparse_in_span(columns, nrows, target, field)

@@ -3,9 +3,14 @@ the paper's criteria on the parts of `homology`.
 
 Cohen-Macaulay: no link (the whole complex included) has reduced
 homology below its top dimension.  Buchsbaum: pure, and the same for the
-links of nonempty faces.  Gorenstein*: the CM test with top Betti number
-1.  Homology manifold: links pass it with top Betti 1 (sphere) or 0 (ball).
-Each filters the reduced Betti vectors of links, memoised by shape.
+links of nonempty faces.  Homology manifold: pure, with links passing it
+with top Betti 1 (sphere) or 0 (ball).  All three read `_link_walk`, which
+builds each nonempty-face link once per complex and field and stops at
+the first failing one, where a walk per decider stops, so witnesses stay.
+Gorenstein*: every link is a homology sphere, that is, a closed homology
+manifold with the homology of a sphere (Gorenstein* implies CM, hence
+pure; in dimension 0 the report is closed and β = (0, 1) is two points;
+{∅} passes both).
 
 Buchsbaum*: removing the open star of any nonempty face F keeps the
 reduced Betti number one below the top dimension d.  For a Buchsbaum
@@ -16,7 +21,7 @@ of the pair (Δ, cost F) gives
 
 so the top cycles of Δ must project onto the top cycles of the star of
 F: one global top-cycle basis plus a small kernel per star.  All
-deciders are pure and memoised (`clear_caches` empties the memos).
+deciders are pure and memoised or read memos (`clear_caches` empties them).
 
 The m-fold properties ask the same of every deletion of fewer than m
 vertices.  Deleting commutes with taking links, lk_{Δ−v}(F) = lk_Δ(F) − v,
@@ -104,12 +109,10 @@ class Verdict:
         return self.ok
 
 
-def _faces_ascending(c: Complex, include_empty: bool):
-    if include_empty:
-        yield ()
+def _faces_ascending(c: Complex):
+    """The nonempty faces of c by dimension, then in sorted order."""
     for d in range(0, c.dim + 1):
-        for t in c.faces(d):
-            yield t
+        yield from c.faces(d)
 
 
 def _link_violation(b: tuple[int, ...], top: int | None) -> str | None:
@@ -124,24 +127,30 @@ def _link_violation(b: tuple[int, ...], top: int | None) -> str | None:
     return None
 
 
-def _link_homology_violation(c: Complex, f: FieldSpec, include_empty: bool,
-                             top: int | None = None) -> str | None:
-    """First face, in `_faces_ascending` order, whose link fails the link
-    test (see `_link_violation`); the empty face stands for the whole
-    complex."""
-    for face in _faces_ascending(c, include_empty):
-        why = _link_violation(betti(c if not face else link(c, face), f).betti, top)
-        if why:
-            where = "the whole complex" if not face else f"link of {c.describe_face(face)}"
-            return f"{where} {why}"
-    return None
-
-
 @lru_cache(maxsize=None)
+def _link_walk(c: Complex, f: FieldSpec):
+    """Build the link of each nonempty face once, in `_faces_ascending`
+    order, up to the first with reduced homology below its top dimension.
+
+    Returns the top reduced Betti number of every link passed, in that
+    order, then the failing face and its witness, or None and None."""
+    tops = []
+    for face in _faces_ascending(c):
+        b = betti(link(c, face), f).betti
+        why = _link_violation(b, None)
+        if why:
+            return tuple(tops), face, f"link of {c.describe_face(face)} {why}"
+        tops.append(b[-1])
+    return tuple(tops), None, None
+
+
 def is_cohen_macaulay(c: Complex, f: FieldSpec) -> Verdict:
     """Link homology vanishes below top dimension, for every face."""
-    violation = _link_homology_violation(c, f, include_empty=True)
-    return Verdict(violation is None, violation)
+    why = _link_violation(betti(c, f).betti, None)
+    if why:
+        return Verdict(False, f"the whole complex {why}")
+    witness = _link_walk(c, f)[2]
+    return Verdict(witness is None, witness)
 
 
 def _guard_subsets(c: Complex, m: int) -> None:
@@ -201,13 +210,12 @@ def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
     return _deletion_sweep(c, f, m, is_cohen_macaulay)
 
 
-@lru_cache(maxsize=None)
 def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
     """Pure, with every nonempty-face link Cohen-Macaulay."""
     if not c.is_pure:
         return Verdict(False, "not pure")
-    violation = _link_homology_violation(c, f, include_empty=False)
-    return Verdict(violation is None, violation)
+    witness = _link_walk(c, f)[2]
+    return Verdict(witness is None, witness)
 
 
 @lru_cache(maxsize=None)
@@ -243,7 +251,7 @@ def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
     b = is_buchsbaum(c, f)
     if not b:
         return Verdict(False, f"not Buchsbaum: {b.witness}")
-    for face in _faces_ascending(c, include_empty=False):
+    for face in _faces_ascending(c):
         coker = _projection_cokernel(c, f, 0, c.mask(face))
         if coker:
             target = betti_at(c, f, c.dim - 1)
@@ -263,11 +271,14 @@ def is_m_buchsbaum_star(c: Complex, f: FieldSpec, m: int) -> bool:
     return _deletion_sweep(c, f, m, is_buchsbaum_star)
 
 
-@lru_cache(maxsize=None)
 def is_gorenstein_star(c: Complex, f: FieldSpec) -> bool:
     """Every link (including the whole complex) has the reduced homology of
-    a sphere of its own dimension."""
-    return _link_homology_violation(c, f, include_empty=True, top=1) is None
+    a sphere of its own dimension: a closed homology manifold with the
+    homology of a sphere (see the module docstring)."""
+    if _link_violation(betti(c, f).betti, 1):
+        return False
+    report = _manifold_report(c, f)
+    return report.manifold and report.closed
 
 
 @dataclass(frozen=True)
@@ -286,27 +297,27 @@ def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
     d = c.dim
     if d == 0:
         return ManifoldReport(True, True, None, True)
+    # a passed link is a sphere (top 1), a ball (top 0) or neither; the failed one is neither
+    tops, failed, _ = _link_walk(c, f)
     boundary_faces: set[int] = set()
     ball_note = None
-    closed = True
-    for face in _faces_ascending(c, include_empty=False):
-        b = betti(link(c, face), f).betti
-        if _link_violation(b, top=1) is None:
-            continue
-        closed = False
-        if _link_violation(b, top=0) is None:
+    for face, top in zip(_faces_ascending(c), tops):
+        if top > 1:
+            failed = face
+            break
+        if top == 0:
             boundary_faces.add(c.mask(face))
             if ball_note is None:
                 ball_note = (f"boundary recognised by Betti vanishing, "
                              f"first at {c.describe_face(face)}")
-        else:
-            return ManifoldReport(
-                False, False, None, False,
-                f"link of {c.describe_face(face)} is neither a homology "
-                f"sphere nor a homology ball",
-            )
+    if failed is not None:
+        return ManifoldReport(
+            False, False, None, False,
+            f"link of {c.describe_face(failed)} is neither a homology "
+            f"sphere nor a homology ball",
+        )
     ncomp = len(predicates(c).components)
-    if closed:
+    if not boundary_faces:
         return ManifoldReport(True, True, None, betti_at(c, f, d) == ncomp)
     bcomplex = _rebuild(sorted(boundary_faces), c)
     if _embedded_face_set(bcomplex, c) != boundary_faces | {0}:
@@ -402,8 +413,8 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
     return report
 
 
-_MEMOISED = (is_cohen_macaulay, is_m_cohen_macaulay, is_buchsbaum, is_m_buchsbaum,
-             is_buchsbaum_star, is_m_buchsbaum_star, is_gorenstein_star, _manifold_report)
+_MEMOISED = (_link_walk, is_m_cohen_macaulay, is_m_buchsbaum, is_buchsbaum_star,
+             is_m_buchsbaum_star, _manifold_report)
 
 
 def clear_caches() -> None:

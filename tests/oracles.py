@@ -4,8 +4,11 @@ The homology oracles work on plain frozensets via explicit subset closure
 and compute ranks with sympy (rationals) or a hand-rolled column-style
 modular elimination, deliberately sharing no code with the package.  The
 oracles that take a `Complex` use the package's public API and helpers:
-`buchsbaum_star_by_contrastars` decides by the definition, rebuilding
-every contrastar, where the package projects top cycles, and
+`link_homology_violation` walks the links anew for each decider, where
+the package walks them once per complex and field and CM, Buchsbaum and
+the manifold report read that walk (Gorenstein* reads the manifold
+report); `buchsbaum_star_by_contrastars` decides by the definition,
+rebuilding every contrastar, where the package projects top cycles; and
 `manifold_report_by_recursion` recognises a manifold with boundary by
 deciding each ball-like link as a manifold in turn, where the package
 tests each link once.  The m-fold projection deciders are compared with
@@ -161,6 +164,19 @@ def connectivity_by_cuts(n, edges) -> int:
     return n - 1
 
 
+def link_homology_violation(c, f, include_empty, top=None):
+    """First face, in `_faces_ascending` order, whose link fails the link
+    test (see `_link_violation`); the empty face stands for the whole
+    complex.  `include_empty` puts the whole complex first (CM and
+    Gorenstein*); `top=1` asks for spheres (Gorenstein*)."""
+    for face in itertools.chain([()] if include_empty else [], _faces_ascending(c)):
+        why = _link_violation(betti(c if not face else link(c, face), f).betti, top)
+        if why:
+            where = "the whole complex" if not face else f"link of {c.describe_face(face)}"
+            return f"{where} {why}"
+    return None
+
+
 def buchsbaum_star_by_contrastars(c, field):
     """(verdict, witness) of Buchsbaum*ness by the definition: Buchsbaum,
     and every nonempty face's contrastar keeps the reduced Betti number
@@ -189,7 +205,7 @@ def manifold_report_by_recursion(c, f):
     boundary_faces = set()
     ball_note = None
     closed = True
-    for face in _faces_ascending(c, include_empty=False):
+    for face in _faces_ascending(c):
         lk = link(c, face)
         b = betti(lk, f).betti
         if _link_violation(b, top=1) is None:

@@ -1,15 +1,19 @@
 import gc
+import json
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import buchsbaum_star_by_contrastars, manifold_report_by_recursion
+from oracles import (buchsbaum_star_by_contrastars, link_homology_violation,
+                     manifold_report_by_recursion)
 
 from bstar import clear_caches, properties
-from bstar.complexes import cone, deletion, from_facets, skeleton
+from bstar.complexes import cone, deletion, from_facets, link, skeleton
 from bstar.constructions import (bowtie, corpus, cross_polytope, cycle, example_2_10_i,
                                  example_2_10_iii, simplex, simplex_boundary, torus7)
+from bstar.homology import betti
 from bstar.linalg import GF2, QQ, FieldSpec
 from bstar.properties import (is_buchsbaum, is_buchsbaum_star, is_cohen_macaulay,
                               is_doubly_buchsbaum, is_gorenstein_star,
@@ -157,6 +161,74 @@ EDGE_CASES = {
     "star_graph": from_facets([("p", "a"), ("p", "b"), ("p", "c"), ("p", "d")]),
     "only_empty_face": deletion(simplex(0), [0]),  # the complex {∅}
 }
+
+
+# a 2-sphere with a triangle glued along an edge: CM with the homology of a
+# sphere, but the link of that edge is three points, so not Gorenstein*
+SPHERE_WITH_FIN = from_facets([*simplex_boundary(3).facets, (0, 1, 4)])
+
+
+def assert_link_deciders_match_reference(c):
+    for f in (QQ, GF2, FieldSpec(3)):
+        cm = is_cohen_macaulay(c, f)
+        expected = link_homology_violation(c, f, True)
+        assert (cm.ok, cm.witness) == (expected is None, expected)
+        b = is_buchsbaum(c, f)
+        expected = "not pure" if not c.is_pure else link_homology_violation(c, f, False)
+        assert (b.ok, b.witness) == (expected is None, expected)
+        assert is_gorenstein_star(c, f) == (link_homology_violation(c, f, True, top=1) is None)
+
+
+@given(complexes_up_to_7_vertices())
+@settings(max_examples=150, deadline=None)
+def test_link_deciders_match_per_decider_walk(c):
+    assert_link_deciders_match_reference(c)
+
+
+@pytest.mark.parametrize("name", [*EDGE_CASES, "sphere_with_fin"])
+def test_link_deciders_match_per_decider_walk_on_edge_cases(name):
+    assert_link_deciders_match_reference(EDGE_CASES.get(name, SPHERE_WITH_FIN))
+
+
+def test_sphere_with_fin_is_cm_but_not_gorenstein_star():
+    assert is_cohen_macaulay(SPHERE_WITH_FIN, QQ)
+    assert betti(SPHERE_WITH_FIN, QQ).betti == (0, 0, 0, 1)
+    assert not is_gorenstein_star(SPHERE_WITH_FIN, QQ)
+    rep = is_homology_manifold(SPHERE_WITH_FIN, QQ)
+    assert not rep.manifold and "neither" in rep.witness
+
+
+def test_property_report_builds_each_link_once(monkeypatch):
+    # CM, Buchsbaum, Gorenstein* and the manifold report read one link walk
+    calls = []
+
+    def counting_link(c, face):
+        calls.append(c.mask(face))
+        return link(c, face)
+
+    clear_caches()
+    monkeypatch.setattr(properties, "link", counting_link)
+    c = cross_polytope(3)
+    rep = property_report(c, QQ)
+    assert rep.verdicts["gorenstein*"] and rep.verdicts["homology_manifold"]
+    assert sorted(calls) == sorted(c.mask(t) for d in range(c.dim + 1) for t in c.faces(d))
+    assert len(calls) == 26
+
+
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "corpus_reports.json"
+
+
+def test_corpus_reports_match_golden_file():
+    """Verdicts and witnesses of `property_report` on every corpus entry,
+    over q, gf:2 and gf:3, are those recorded in the golden file.  After a
+    change that is meant to alter them, regenerate it from the repo root:
+
+        PYTHONPATH=src python -c "import json; from bstar.constructions import corpus; from bstar.linalg import FieldSpec; from bstar.properties import property_report; print(json.dumps({n: [{k: v for k, v in property_report(c, FieldSpec.parse(f)).to_jsonable().items() if k != 'timings'} for f in ('q', 'gf:2', 'gf:3')] for n, c in corpus()}, indent=2))" > tests/data/corpus_reports.json
+    """
+    got = {name: [{k: v for k, v in property_report(c, FieldSpec.parse(f)).to_jsonable().items()
+                   if k != "timings"} for f in ("q", "gf:2", "gf:3")]
+           for name, c in corpus()}
+    assert got == json.loads(GOLDEN_REPORTS.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", EDGE_CASES)
