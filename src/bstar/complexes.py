@@ -3,7 +3,8 @@
 A complex stores its facets only; membership of any face is "is a subset
 of some facet".  Vertices are dense 0-based indices, each carrying an
 optional hashable label that survives links/deletions/contrastars (labels
-are what the CLI prints and what subcomplex embeddings are matched on).
+are what the CLI prints, and `homology._embedded_face_set` matches a
+subcomplex to its ambient complex by them).
 Faces cross the public API as sorted tuples of vertex indices; internally
 every face is a bitmask int over the vertex set.
 
@@ -14,7 +15,8 @@ extending each face with its common neighbours: O(faces x degree).
 
 Serialization writes labels as strings, so `to_json` and `to_text`
 refuse a complex in which two vertices' labels print alike (1 and "1"),
-as parsing the output back would merge them.
+as parsing the output back would merge them.  For the same reason `parse`
+refuses distinct JSON labels that Python holds equal (1, 1.0 and true).
 
 The empty complex {∅} (no vertices, only the empty face) can arise from
 deletions and contrastars but is deliberately not constructible from
@@ -220,9 +222,6 @@ class Complex:
 
     def face_labels(self, face: Iterable[int]) -> tuple:
         return tuple(self.labels[v] for v in sorted(face))
-
-    def index_of_label(self, label) -> int:
-        return self.labels.index(label)
 
     def describe_face(self, face: Iterable[int]) -> str:
         names = [str(x) for x in self.face_labels(face)]
@@ -430,6 +429,11 @@ def parse(text: str) -> Complex:
                         for f in facets)):
             raise ValueError('"facets" must be a list of lists of vertex labels '
                              '(strings, numbers, booleans or null)')
+        first: dict[Hashable, Hashable] = {}
+        for lab in itertools.chain.from_iterable(facets):
+            if _label_key(first.setdefault(lab, lab)) != _label_key(lab):
+                raise ValueError(f"labels {first[lab]!r} and {lab!r} are equal in "
+                                 f"Python and would merge into one vertex")
         return from_facets(facets)
     facets = []
     for line in text.splitlines():

@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import Complex, _rebuild, cone, from_facets, predicates, to_json
-from .homology import first_nonbounding_cycle, _embedded_face_set
+from .complexes import Complex, _tuple_of, cone, from_facets, predicates, to_json
+from .homology import _embedded_face_set, _nonbounding_cycle, first_nonbounding_cycle
 from .linalg import QQ, FieldSpec
 from .properties import is_buchsbaum_star, is_homology_manifold
 
@@ -330,32 +330,25 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
                 and boundary.dim == d - 1)
         else:
             ear["boundary_ok"] = False
-        if boundary is not None:
-            bfaces = _embedded_face_set(boundary, ambient)
-            ear["boundary_matches_intersection"] = bfaces == faces & prior_faces
-        else:
-            ear["boundary_matches_intersection"] = False
+        bfaces = None if boundary is None else _embedded_face_set(boundary, ambient)
+        ear["boundary_matches_intersection"] = bfaces == faces & prior_faces
 
-        prior_union = _rebuild([m for m in prior_faces if m], ambient)
         # zero-map conditions live one and two degrees below the ambient
         # (top) dimension d, i.e. in dim-1 and dim-2 of the complex
         for off, keyname in ((1, "attachment_null_homologous_top"),
                              (2, "attachment_null_homologous_below")):
-            if boundary is None:
+            if bfaces is None:
                 ear[keyname] = False
                 continue
-            try:
-                witness = first_nonbounding_cycle(boundary, prior_union, d - off, field)
-            except ValueError:
+            if not bfaces <= prior_faces:
                 ear[keyname] = False
                 ear[keyname + "_witness"] = ["boundary not inside earlier pieces"]
                 continue
+            witness = _nonbounding_cycle(ambient, bfaces, prior_faces, d - off, field)
             ear[keyname] = witness is None
             if witness is not None:
-                support = [prior_union.describe_face(
-                    [v for v in range(prior_union.n_vertices) if m >> v & 1])
-                    for _, m in witness]
-                ear[keyname + "_witness"] = support
+                ear[keyname + "_witness"] = [ambient.describe_face(_tuple_of(m))
+                                             for _, m in witness]
         hypotheses_ok = hypotheses_ok and all(
             ear[k2] for k2 in ("manifold_with_boundary", "boundary_ok",
                                "boundary_matches_intersection",

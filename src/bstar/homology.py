@@ -7,9 +7,11 @@ of a face drops its k-th smallest vertex with sign (-1)^k.
 
 `_boundary` is the one builder of boundary maps.  It gives sparse columns
 in the format of `linalg`, for a whole complex or for the cells that a
-predicate keeps (those outside a subcomplex, for a pair; those that
+predicate keeps (those outside a subcomplex, for a pair; those inside a
+subcomplex, for its cycles and the chains they may bound in; those that
 contain a face, for a star), and every rank, cycle basis and span test
-goes to the sparse entry points of `linalg`.
+goes to the sparse entry points of `linalg`.  A subcomplex enters as its
+face masks in the ambient complex, matched by label in `_embedded_face_set`.
 """
 
 from __future__ import annotations
@@ -107,52 +109,48 @@ def reduced_euler_characteristic(c: Complex) -> int:
 # -- pairs -------------------------------------------------------------
 
 
-def _vertex_map(a: Complex, c: Complex) -> list[int]:
-    """Index in c of each vertex of the subcomplex a; validates inclusion."""
-    try:
-        vmap = [c.index_of_label(lab) for lab in a.labels]
-    except ValueError as exc:
-        raise ValueError("not a subcomplex: label missing from the ambient complex") from exc
-    for fm in a.facets:
-        if not c.is_face(vmap[v] for v in fm):
-            raise ValueError("not a subcomplex: facet missing from the ambient complex")
-    return vmap
-
-
-def _embed(mask: int, vmap: list[int]) -> int:
-    out = 0
-    while mask:
-        bit = mask & -mask
-        out |= 1 << vmap[bit.bit_length() - 1]
-        mask ^= bit
-    return out
-
-
 def _embedded_face_set(a: Complex, c: Complex) -> set[int]:
-    """Masks (w.r.t. c) of all faces of the subcomplex a; validates inclusion."""
-    vmap = _vertex_map(a, c)
-    return {_embed(m, vmap) for d in range(-1, a.dim + 1) for m in a.face_masks(d)}
+    """Masks in c of all faces of the subcomplex a, the empty face
+    included; raises ValueError unless a is a subcomplex of c.  The one
+    place where the vertices of two complexes are matched, by label."""
+    index = {lab: i for i, lab in enumerate(c.labels)}
+    try:
+        bits = [1 << index[lab] for lab in a.labels]
+    except KeyError:
+        raise ValueError("not a subcomplex: label missing from the ambient complex") from None
+
+    def embed(mask):
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= bits[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    if not all(c.has_mask(embed(m)) for m in a._facet_masks):
+        raise ValueError("not a subcomplex: facet missing from the ambient complex")
+    return {embed(m) for d in range(-1, a.dim + 1) for m in a.face_masks(d)}
 
 
-def relative_betti(c: Complex, a: Complex, field: FieldSpec, i: int) -> int:
-    """dim H_i of the pair (c, a), computed from the quotient chain complex."""
-    excluded = _embedded_face_set(a, c)
+def _relative_betti(c: Complex, excluded: set[int], field: FieldSpec, i: int) -> int:
+    """dim H_i of the pair (c, a), for the face masks of a (the empty face
+    included) in c, from the quotient chain complex."""
     if i < 0 or i > c.dim:
         return 0
-
-    def keep(m):
-        return m not in excluded
-
-    lower, cells, rows = _boundary(c, i, keep)
-    upper, _, _ = _boundary(c, i + 1, keep)
+    lower, cells, rows = _boundary(c, i, lambda m: m not in excluded)
+    upper, _, _ = _boundary(c, i + 1, lambda m: m not in excluded)
     return (len(cells) - sparse_rank(lower, len(rows), field)
             - sparse_rank(upper, len(cells), field))
 
 
+def relative_betti(c: Complex, a: Complex, field: FieldSpec, i: int) -> int:
+    """dim H_i of the pair (c, a), computed from the quotient chain complex."""
+    return _relative_betti(c, _embedded_face_set(a, c), field, i)
+
+
 def inclusion_induced_is_zero(a: Complex, c: Complex, i: int, field: FieldSpec) -> bool:
     """True iff every reduced i-cycle of the subcomplex a bounds in c."""
-    witness = first_nonbounding_cycle(a, c, i, field)
-    return witness is None
+    return first_nonbounding_cycle(a, c, i, field) is None
 
 
 def first_nonbounding_cycle(a: Complex, c: Complex, i: int, field: FieldSpec):
@@ -160,17 +158,25 @@ def first_nonbounding_cycle(a: Complex, c: Complex, i: int, field: FieldSpec):
 
     Returned as a list of (coefficient, face-mask-in-c) pairs.
     """
-    vmap = _vertex_map(a, c)
-    columns, cells_a, rows_a = _boundary(a, i)
-    cycles = sparse_nullspace(columns, len(rows_a), field)
+    return _nonbounding_cycle(c, _embedded_face_set(a, c), None, i, field)
+
+
+def _nonbounding_cycle(c: Complex, inside: set[int], around: set[int] | None,
+                       i: int, field: FieldSpec):
+    """The first basis i-cycle on the faces `inside` that is not a boundary
+    of (i+1)-chains on the faces `around` (all of c for None), as
+    (coefficient, face mask) pairs in the face order of c, or None.  Both
+    are face-mask sets of subcomplexes of c, `inside` within `around`."""
+    columns, cells, rows = _boundary(c, i, inside.__contains__)
+    cycles = sparse_nullspace(columns, len(rows), field)
     if not cycles:
         return None
-    target, _, faces_c = _boundary(c, i + 1)
-    idx_c = {m: j for j, m in enumerate(faces_c)}
+    target, _, faces = _boundary(c, i + 1, None if around is None else around.__contains__)
+    index = {m: j for j, m in enumerate(faces)}
     for z in cycles:
-        vec = {idx_c[_embed(cells_a[k], vmap)]: coeff for k, coeff in z.items()}
-        if not sparse_in_span(target, len(faces_c), vec, field):
-            return [(vec[j], faces_c[j]) for j in sorted(vec)]
+        vec = {index[cells[k]]: coeff for k, coeff in z.items()}
+        if not sparse_in_span(target, len(faces), vec, field):
+            return [(vec[j], faces[j]) for j in sorted(vec)]
     return None
 
 

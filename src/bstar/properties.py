@@ -4,7 +4,8 @@ the paper's criteria on the parts of `homology`.
 Cohen-Macaulay: no link (the whole complex included) has reduced
 homology below its top dimension.  Buchsbaum: pure, and the same for the
 links of nonempty faces.  Homology manifold: pure, with links passing it
-with top Betti 1 (sphere) or 0 (ball).  All three read `_link_walk`, which
+with top Betti 1 (sphere) or 0 (ball), the ball-link faces forming a
+subcomplex (the boundary).  All three read `_link_walk`, which
 builds each nonempty-face link once per complex and field and stops at
 the first failing one, where a walk per decider stops, so witnesses stay.
 Gorenstein*: every link is a homology sphere, that is, a closed homology
@@ -21,7 +22,8 @@ of the pair (Δ, cost F) gives
 
 so the top cycles of Δ must project onto the top cycles of the star of
 F: one global top-cycle basis plus a small kernel per star.  All
-deciders are pure and memoised or read memos (`clear_caches` empties them).
+deciders are pure; the link walk, the Buchsbaum* verdict and the
+manifold report are memoised (`clear_caches` empties them).
 
 The m-fold properties ask the same of every deletion of fewer than m
 vertices.  Deleting commutes with taking links, lk_{Δ−v}(F) = lk_Δ(F) − v,
@@ -58,8 +60,8 @@ from functools import lru_cache
 from math import comb
 
 from .complexes import Complex, _rebuild, deletion, link, predicates
-from .homology import (_betti_tables, _embedded_face_set, _projection_cokernel,
-                       _star_cycles, betti, betti_at, relative_betti)
+from .homology import (_betti_tables, _projection_cokernel, _relative_betti,
+                       _star_cycles, betti, betti_at)
 from .linalg import FieldSpec
 
 __all__ = [
@@ -196,7 +198,6 @@ def _ridges_shared(c: Complex) -> bool:
     return once == twice
 
 
-@lru_cache(maxsize=None)
 def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
     """Deletions of fewer than m vertices stay Cohen-Macaulay of the same
     dimension (m=1 is plain Cohen-Macaulay, m=2 "doubly": CM, ridges shared
@@ -218,7 +219,6 @@ def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
     return Verdict(witness is None, witness)
 
 
-@lru_cache(maxsize=None)
 def is_m_buchsbaum(c: Complex, f: FieldSpec, m: int) -> bool:
     """Deletions of fewer than m vertices stay Buchsbaum of the same
     dimension (m=2 decided by the pair projections of the module
@@ -260,7 +260,6 @@ def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
     return Verdict(True)
 
 
-@lru_cache(maxsize=None)
 def is_m_buchsbaum_star(c: Complex, f: FieldSpec, m: int) -> bool:
     """Deletions of fewer than m vertices stay Buchsbaum* of the same
     dimension; m=0 asks for plain Buchsbaumness."""
@@ -319,12 +318,12 @@ def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
     ncomp = len(predicates(c).components)
     if not boundary_faces:
         return ManifoldReport(True, True, None, betti_at(c, f, d) == ncomp)
-    bcomplex = _rebuild(sorted(boundary_faces), c)
-    if _embedded_face_set(bcomplex, c) != boundary_faces | {0}:
+    if any(m ^ bit and m ^ bit not in boundary_faces
+           for m in boundary_faces for bit in _bits(m)):
         return ManifoldReport(False, False, None, False,
                               "boundary faces do not form a subcomplex")
-    orientable = relative_betti(c, bcomplex, f, d) == ncomp
-    return ManifoldReport(True, False, bcomplex, orientable, ball_note)
+    orientable = _relative_betti(c, boundary_faces | {0}, f, d) == ncomp
+    return ManifoldReport(True, False, _rebuild(boundary_faces, c), orientable, ball_note)
 
 
 def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
@@ -386,16 +385,11 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
     run("doubly_cohen_macaulay", lambda: is_m_cohen_macaulay(c, f, 2))
     run("doubly_buchsbaum", lambda: is_doubly_buchsbaum(c, f))
     run("gorenstein*", lambda: is_gorenstein_star(c, f))
-    if c.is_pure:
-        mrep = is_homology_manifold(c, f)
-        report.verdicts["homology_manifold"] = mrep.manifold
-        report.verdicts["orientable_manifold"] = mrep.manifold and mrep.orientable
-        if mrep.witness:
-            report.witnesses["homology_manifold"] = mrep.witness
-    else:
-        report.verdicts["homology_manifold"] = False
-        report.verdicts["orientable_manifold"] = False
-        report.witnesses["homology_manifold"] = "not pure"
+    mrep = _manifold_report(c, f)  # "not pure" for a non-pure complex
+    report.verdicts["homology_manifold"] = mrep.manifold
+    report.verdicts["orientable_manifold"] = mrep.manifold and mrep.orientable
+    if mrep.witness:
+        report.witnesses["homology_manifold"] = mrep.witness
 
     v = report.verdicts
     implications = [
@@ -413,8 +407,7 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
     return report
 
 
-_MEMOISED = (_link_walk, is_m_cohen_macaulay, is_m_buchsbaum, is_buchsbaum_star,
-             is_m_buchsbaum_star, _manifold_report)
+_MEMOISED = (_link_walk, is_buchsbaum_star, _manifold_report)
 
 
 def clear_caches() -> None:

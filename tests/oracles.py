@@ -2,7 +2,11 @@
 
 The homology oracles work on plain frozensets via explicit subset closure
 and compute ranks with sympy (rationals) or a hand-rolled column-style
-modular elimination, deliberately sharing no code with the package.  The
+modular elimination, deliberately sharing no code with the package.
+`pair_homology` gives the relative Betti numbers of a pair from the
+quotient chain complex, and the rank of H_i(a) -> H_i(c) from Betti
+numbers alone, through the long exact sequence of the pair, where the
+package reduces each cycle of a against the boundaries of c.  The
 oracles that take a `Complex` use the package's public API and helpers:
 `link_homology_violation` walks the links anew for each decider, where
 the package walks them once per complex and field and CM, Buchsbaum and
@@ -44,14 +48,16 @@ def faces_by_dim(faces):
 
 
 def boundary_matrix(fb, d):
-    """Rows: (d-1)-faces, cols: d-faces; d=0 gives the augmentation row."""
-    if d == 0:
-        return sympy.Matrix([[1] * len(fb.get(0, []))])
+    """Rows: (d-1)-faces, cols: d-faces; d=0 gives the augmentation row
+    when fb holds the empty face.  Boundary faces missing from fb are
+    dropped, which gives the quotient by a subcomplex."""
     idx = {f: i for i, f in enumerate(fb.get(d - 1, []))}
-    m = sympy.zeros(len(fb.get(d - 1, [])), len(fb.get(d, [])))
+    m = sympy.zeros(len(idx), len(fb.get(d, [])))
     for j, f in enumerate(fb.get(d, [])):
         for pos, v in enumerate(f):
-            m[idx[tuple(x for x in f if x != v)], j] = (-1) ** pos
+            i = idx.get(tuple(x for x in f if x != v))
+            if i is not None:
+                m[i, j] = (-1) ** pos
     return m
 
 
@@ -82,10 +88,10 @@ def rank_modular(m, p) -> int:
     return rank
 
 
-def betti_numbers(facets, p=None):
-    """Reduced Betti numbers (beta_-1, ..., beta_top) by definition."""
-    fb = faces_by_dim(closure(facets))
-    top = max(fb)
+def chain_betti(faces, top, p=None):
+    """Betti numbers (beta_-1, ..., beta_top) of the chain complex spanned
+    by a set of faces (frozensets), each boundary restricted to the set."""
+    fb = faces_by_dim(faces)
     ranks = {}
     for d in range(0, top + 1):
         m = boundary_matrix(fb, d)
@@ -93,11 +99,34 @@ def betti_numbers(facets, p=None):
             ranks[d] = 0
         else:
             ranks[d] = rank_rational(m) if p is None else rank_modular(m, p)
-    out = []
-    for i in range(-1, top + 1):
-        fi = 1 if i == -1 else len(fb.get(i, []))
-        out.append(fi - ranks.get(i, 0) - ranks.get(i + 1, 0))
-    return tuple(out)
+    return tuple(len(fb.get(i, [])) - ranks.get(i, 0) - ranks.get(i + 1, 0)
+                 for i in range(-1, top + 1))
+
+
+def betti_numbers(facets, p=None):
+    """Reduced Betti numbers (beta_-1, ..., beta_top) by definition."""
+    faces = closure(facets)
+    return chain_betti(faces, max(len(f) for f in faces) - 1, p)
+
+
+def pair_homology(a_facets, c_facets, p=None):
+    """(image, relative) for a subcomplex a of c, given by facets of labels:
+    `relative` is (beta_-1, ..., beta_dim c) of the pair (c, a), from the
+    quotient chain complex, and `image[i]` is dim im(H_i(a) -> H_i(c)) for
+    i = -1..dim c.  The image is read off the Betti numbers of a, c and
+    (c, a) by exactness of the long exact sequence of the pair
+    ... -> H_{i+1}(c, a) -> H_i(a) -> H_i(c) -> H_i(c, a) -> H_{i-1}(a) ...,
+    walked down from the top degree, where H_{top+1}(c, a) = 0."""
+    fa, fc = closure(a_facets), closure(c_facets)
+    assert fa <= fc, "not a subcomplex"
+    top = max(len(f) for f in fc) - 1
+    ba, bc, relative = (chain_betti(s, top, p) for s in (fa, fc, fc - fa))
+    image, connecting = {}, 0  # rank of H_{i+1}(c, a) -> H_i(a)
+    for i in range(top, -2, -1):
+        image[i] = ba[i + 1] - connecting
+        connecting = relative[i + 1] - (bc[i + 1] - image[i])
+    assert connecting == 0  # H_{-2}(a) = 0
+    return image, relative
 
 
 def minimal_nonfaces(c):

@@ -46,6 +46,17 @@ def test_check_malformed_facets(capsys, tmp_path, text):
     assert err.startswith("error:") and "facets" in err
 
 
+@pytest.mark.parametrize("text", ['{"facets": [[1, 2], [true, 3]]}',
+                                  '{"facets": [[0, 2], [false, 3]]}',
+                                  '{"facets": [[1.0, 2], [1, 3]]}'])
+def test_check_rejects_labels_that_would_merge(capsys, tmp_path, text):
+    p = tmp_path / "merge.json"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: labels ") and "would merge" in err
+
+
 def test_check_bad_field(capsys):
     code, _, err = run_cli(capsys, "check", "named:torus7", "--field", "gf:9")
     assert code == 2

@@ -312,6 +312,17 @@ def test_serialization_rejects_labels_that_print_alike():
             write(c)
 
 
+@pytest.mark.parametrize("facets, pair", [
+    ([[1, 2], [True, 3]], "1 and True"),
+    ([[0, 2], [False, 3]], "0 and False"),
+    ([[1.0, 2], [1, 3]], "1.0 and 1"),
+])
+def test_parse_rejects_distinct_labels_python_holds_equal(facets, pair):
+    with pytest.raises(ValueError, match=f"labels {pair} "):
+        parse(json.dumps({"facets": facets}))
+    assert parse(json.dumps({"facets": [[1, 2], [1, 3], ["1", None]]})).n_vertices == 5
+
+
 def test_serialization_stable(torus):
     assert to_json(torus) == to_json(from_facets(
         [torus.face_labels(f) for f in torus.facets]))

@@ -140,6 +140,21 @@ def test_ear_verifier_membrane_passes():
     assert is_buchsbaum_star(memb, GF2)
 
 
+def test_ear_verifier_boundary_outside_earlier_pieces():
+    octa = cross_polytope(3)
+    disc = from_facets([(0, "y", "z"), (2, "y", "z"), (0, 2, "z")])
+    ambient = from_facets([octa.face_labels(f) for f in octa.facets]
+                          + [disc.face_labels(f) for f in disc.facets])
+    rep = verify_ear_decomposition(ambient, EarDecomposition((octa, disc)), QQ)
+    ear = rep.ears[0]
+    assert ear["manifold_with_boundary"] and ear["boundary_ok"]
+    assert not ear["boundary_matches_intersection"]
+    for key in ("attachment_null_homologous_top", "attachment_null_homologous_below"):
+        assert ear[key] is False
+        assert ear[key + "_witness"] == ["boundary not inside earlier pieces"]
+    assert not rep.hypotheses_ok
+
+
 def test_ear_verifier_rejects_non_subcomplex(torus):
     alien = from_facets([("x", "y")])
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from bstar.homology import (betti, betti_at, inclusion_induced_is_zero,
                             _boundary, _embedded_face_set)
 from bstar.linalg import GF2, QQ, FieldSpec
 from bstar import homology
-from oracles import betti_numbers
+from oracles import betti_numbers, pair_homology
 
 
 def test_sphere_betti(sphere2):
@@ -231,3 +231,36 @@ def test_betti_matches_oracle(c, field):
     expected = betti_numbers([c.face_labels(f) for f in c.facets],
                              None if field.is_rational else field.p)
     assert betti(c, field).betti == expected
+
+
+@st.composite
+def complexes_with_subcomplexes(draw):
+    """A complex on at most 7 vertices and a subcomplex of it: a skeleton,
+    a deletion, a contrastar or the closure of some facets."""
+    n = draw(st.integers(2, 7))
+    c = from_facets([draw(st.permutations(range(n)))[:draw(st.integers(1, 4))]
+                     for _ in range(draw(st.integers(1, 5)))])
+    kind = draw(st.sampled_from(["skeleton", "deletion", "contrastar", "facets"]))
+    if kind == "skeleton":
+        a = skeleton(c, draw(st.integers(0, c.dim)))
+    elif kind == "deletion":
+        a = deletion(c, draw(st.sets(st.integers(0, c.n_vertices - 1))))
+    elif kind == "contrastar":
+        a = contrastar(c, draw(st.sampled_from(
+            [f for d in range(c.dim + 1) for f in c.faces(d)])))
+    else:
+        a = from_facets([c.face_labels(f) for f in draw(
+            st.lists(st.sampled_from(c.facets), min_size=1, unique=True))])
+    return c, a
+
+
+@given(complexes_with_subcomplexes(), st.sampled_from([QQ, GF2, FieldSpec(3)]))
+@settings(max_examples=150, deadline=None)
+def test_pair_maps_match_exact_sequence_oracle(pair, field):
+    c, a = pair
+    image, relative = pair_homology([a.face_labels(f) for f in a.facets],
+                                    [c.face_labels(f) for f in c.facets],
+                                    None if field.is_rational else field.p)
+    for i in range(-1, c.dim + 2):
+        assert inclusion_induced_is_zero(a, c, i, field) == (image.get(i, 0) == 0), i
+        assert relative_betti(c, a, field, i) == (relative[i + 1] if i <= c.dim else 0), i
