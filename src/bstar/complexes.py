@@ -15,8 +15,8 @@ extending each face with its common neighbours: O(faces x degree).
 
 Serialization writes labels as strings, so `to_json` and `to_text`
 refuse a complex in which two vertices' labels print alike (1 and "1"),
-as parsing the output back would merge them.  For the same reason `parse`
-refuses distinct JSON labels that Python holds equal (1, 1.0 and true).
+as parsing the output back would merge them.  `from_facets`, and so `parse`,
+refuses distinct labels that would merge, being equal in Python (1 and True).
 
 The empty complex {∅} (no vertices, only the empty face) can arise from
 deletions and contrastars but is deliberately not constructible from
@@ -250,15 +250,19 @@ def from_facets(facet_list: Iterable[Iterable[Hashable]]) -> Complex:
 
     Dominated faces are dropped; labels are mapped to dense indices in
     sorted order so the construction is deterministic.  Inputs with no
-    nonempty facet are rejected.
+    nonempty facet, or with distinct labels Python holds equal, are rejected.
     """
-    facet_sets = [frozenset(f) for f in facet_list]
-    label_set = set().union(*facet_sets) if facet_sets else set()
-    if not label_set:
+    facets = [tuple(f) for f in facet_list]
+    first: dict[Hashable, Hashable] = {}
+    for lab in itertools.chain.from_iterable(facets):
+        if _label_key(first.setdefault(lab, lab)) != _label_key(lab):
+            raise ValueError(f"labels {first[lab]!r} and {lab!r} are equal in "
+                             f"Python and would merge into one vertex")
+    if not first:
         raise ValueError("no facets")
-    labels = tuple(_sort_labels(label_set))
+    labels = tuple(_sort_labels(first))
     index = {lab: i for i, lab in enumerate(labels)}
-    masks = [_mask_of(index[lab] for lab in f) for f in facet_sets]
+    masks = [_mask_of(index[lab] for lab in f) for f in facets]
     return Complex(masks, len(labels), labels)
 
 
@@ -282,9 +286,9 @@ def link(c: Complex, face: Iterable[int]) -> Complex:
     s = c.mask(face)
     if s == 0:
         return c
-    if not c.has_mask(s):
-        raise ValueError("not a face")
     masks = [f & ~s for f in c._facet_masks if f & s == s]
+    if not masks:
+        raise ValueError("not a face")
     return _rebuild(masks, c)
 
 
@@ -429,11 +433,6 @@ def parse(text: str) -> Complex:
                         for f in facets)):
             raise ValueError('"facets" must be a list of lists of vertex labels '
                              '(strings, numbers, booleans or null)')
-        first: dict[Hashable, Hashable] = {}
-        for lab in itertools.chain.from_iterable(facets):
-            if _label_key(first.setdefault(lab, lab)) != _label_key(lab):
-                raise ValueError(f"labels {first[lab]!r} and {lab!r} are equal in "
-                                 f"Python and would merge into one vertex")
         return from_facets(facets)
     facets = []
     for line in text.splitlines():

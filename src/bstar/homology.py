@@ -16,9 +16,10 @@ face masks in the ambient complex, matched by label in `_embedded_face_set`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .complexes import Complex
+from .complexes import Complex, _mask_of, _tuple_of
 from .linalg import FieldSpec, sparse_in_span, sparse_nullspace, sparse_rank
 
 __all__ = [
@@ -74,26 +75,35 @@ def _boundary(c: Complex, d: int, keep=None):
     return columns, cells, rows
 
 
-# Reduced Betti vectors keyed by shape (vertex count, facet masks) and field,
-# not by the complex: they do not depend on labels, the key keeps no complex
-# alive, and a hit enumerates no face.
-_betti_tables: dict[tuple, BettiTable] = {}
+# The one memo table: shape (vertex count, facet masks) -> {(function,
+# *arguments): result}.  It keeps no complex alive; a hit enumerates no face.
+_shapes: dict[tuple, dict] = {}
 
 
+def _by_shape(fn):
+    """Memoise fn(c, ...) in `_shapes`, shared by every complex of the
+    shape of c, so the result must carry no label."""
+    @functools.wraps(fn)
+    def memo(c, *args, **kwargs):
+        entry = _shapes.setdefault((c.n_vertices, c._facet_masks), {})
+        key = (fn, *args, *kwargs.items())
+        result = entry.get(key, entry)  # the entry itself stands for a miss
+        if result is entry:
+            result = entry[key] = fn(c, *args, **kwargs)
+        return result
+    return memo
+
+
+@_by_shape
 def betti(c: Complex, field: FieldSpec) -> BettiTable:
-    key = (c.n_vertices, c._facet_masks, field)
-    table = _betti_tables.get(key)
-    if table is None:
-        ranks = [0]  # ranks[i + 1]: rank of the boundary out of the i-cells, i = -1..dim+1
-        for i in range(0, c.dim + 1):
-            columns, _, rows = _boundary(c, i)
-            ranks.append(sparse_rank(columns, len(rows), field))
-            del columns, rows  # one matrix alive at a time
-        ranks.append(0)
-        table = _betti_tables[key] = BettiTable(field, tuple(
-            len(c.face_masks(i)) - ranks[i + 1] - ranks[i + 2]
-            for i in range(-1, c.dim + 1)))
-    return table
+    ranks = [0]  # ranks[i + 1]: rank of the boundary out of the i-cells, i = -1..dim+1
+    for i in range(0, c.dim + 1):
+        columns, _, rows = _boundary(c, i)
+        ranks.append(sparse_rank(columns, len(rows), field))
+        del columns, rows  # one matrix alive at a time
+    ranks.append(0)
+    return BettiTable(field, tuple(len(c.face_masks(i)) - ranks[i + 1] - ranks[i + 2]
+                                   for i in range(-1, c.dim + 1)))
 
 
 def betti_at(c: Complex, field: FieldSpec, i: int) -> int:
@@ -115,17 +125,12 @@ def _embedded_face_set(a: Complex, c: Complex) -> set[int]:
     place where the vertices of two complexes are matched, by label."""
     index = {lab: i for i, lab in enumerate(c.labels)}
     try:
-        bits = [1 << index[lab] for lab in a.labels]
+        position = [index[lab] for lab in a.labels]
     except KeyError:
         raise ValueError("not a subcomplex: label missing from the ambient complex") from None
 
     def embed(mask):
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= bits[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return _mask_of(position[v] for v in _tuple_of(mask))
 
     if not all(c.has_mask(embed(m)) for m in a._facet_masks):
         raise ValueError("not a subcomplex: facet missing from the ambient complex")
@@ -180,22 +185,14 @@ def _nonbounding_cycle(c: Complex, inside: set[int], around: set[int] | None,
     return None
 
 
-# Top cycles of stars, keyed like `_betti_tables` plus the face mask.
-_star_cycles: dict[tuple, tuple] = {}
-
-
+@_by_shape
 def _star_top_cycles(c: Complex, field: FieldSpec, face_mask: int):
     """The top faces containing `face_mask` and the kernel of the boundary
     map on them (= top homology of the pair (c, contrastar face), or of c
     for mask 0), each kernel vector keyed by face mask."""
-    key = (c.n_vertices, c._facet_masks, field, face_mask)
-    hit = _star_cycles.get(key)
-    if hit is None:
-        columns, cells, rows = _boundary(c, c.dim, lambda m: m & face_mask == face_mask)
-        cycles = tuple({cells[k]: x for k, x in z.items()}
-                       for z in sparse_nullspace(columns, len(rows), field))
-        hit = _star_cycles[key] = (tuple(cells), cycles)
-    return hit
+    columns, cells, rows = _boundary(c, c.dim, lambda m: m & face_mask == face_mask)
+    return tuple(cells), tuple({cells[k]: x for k, x in z.items()}
+                               for z in sparse_nullspace(columns, len(rows), field))
 
 
 def _projection_cokernel(c: Complex, field: FieldSpec, sm: int, tm: int) -> int:

@@ -6,7 +6,7 @@ homology below its top dimension.  Buchsbaum: pure, and the same for the
 links of nonempty faces.  Homology manifold: pure, with links passing it
 with top Betti 1 (sphere) or 0 (ball), the ball-link faces forming a
 subcomplex (the boundary).  All three read `_link_walk`, which
-builds each nonempty-face link once per complex and field and stops at
+builds each nonempty-face link once per shape and field and stops at
 the first failing one, where a walk per decider stops, so witnesses stay.
 Gorenstein*: every link is a homology sphere, that is, a closed homology
 manifold with the homology of a sphere (Gorenstein* implies CM, hence
@@ -22,8 +22,8 @@ of the pair (Δ, cost F) gives
 
 so the top cycles of Δ must project onto the top cycles of the star of
 F: one global top-cycle basis plus a small kernel per star.  All
-deciders are pure; the link walk, the Buchsbaum* verdict and the
-manifold report are memoised (`clear_caches` empties them).
+deciders are pure.  The link walk and projection sweep are memoised by shape
+(`clear_caches` empties the memo), so the deciders add the labels of faces.
 
 The m-fold properties ask the same of every deletion of fewer than m
 vertices.  Deleting commutes with taking links, lk_{Δ−v}(F) = lk_Δ(F) − v,
@@ -56,12 +56,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 from math import comb
 
 from .complexes import Complex, _rebuild, deletion, link, predicates
-from .homology import (_betti_tables, _projection_cokernel, _relative_betti,
-                       _star_cycles, betti, betti_at)
+from .homology import (_by_shape, _projection_cokernel, _relative_betti, _shapes,
+                       betti, betti_at)
 from .linalg import FieldSpec
 
 __all__ = [
@@ -129,19 +128,19 @@ def _link_violation(b: tuple[int, ...], top: int | None) -> str | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@_by_shape
 def _link_walk(c: Complex, f: FieldSpec):
     """Build the link of each nonempty face once, in `_faces_ascending`
     order, up to the first with reduced homology below its top dimension.
 
     Returns the top reduced Betti number of every link passed, in that
-    order, then the failing face and its witness, or None and None."""
+    order, then the failing face and why it fails, or None and None."""
     tops = []
     for face in _faces_ascending(c):
         b = betti(link(c, face), f).betti
         why = _link_violation(b, None)
         if why:
-            return tuple(tops), face, f"link of {c.describe_face(face)} {why}"
+            return tuple(tops), face, why
         tops.append(b[-1])
     return tuple(tops), None, None
 
@@ -151,8 +150,8 @@ def is_cohen_macaulay(c: Complex, f: FieldSpec) -> Verdict:
     why = _link_violation(betti(c, f).betti, None)
     if why:
         return Verdict(False, f"the whole complex {why}")
-    witness = _link_walk(c, f)[2]
-    return Verdict(witness is None, witness)
+    _, face, why = _link_walk(c, f)
+    return Verdict(why is None, why and f"link of {c.describe_face(face)} {why}")
 
 
 def _guard_subsets(c: Complex, m: int) -> None:
@@ -215,8 +214,8 @@ def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
     """Pure, with every nonempty-face link Cohen-Macaulay."""
     if not c.is_pure:
         return Verdict(False, "not pure")
-    witness = _link_walk(c, f)[2]
-    return Verdict(witness is None, witness)
+    _, face, why = _link_walk(c, f)
+    return Verdict(why is None, why and f"link of {c.describe_face(face)} {why}")
 
 
 def is_m_buchsbaum(c: Complex, f: FieldSpec, m: int) -> bool:
@@ -238,7 +237,18 @@ def is_doubly_buchsbaum(c: Complex, f: FieldSpec) -> bool:
     return is_m_buchsbaum(c, f, 2)
 
 
-@lru_cache(maxsize=None)
+@_by_shape
+def _projection_violation(c: Complex, f: FieldSpec):
+    """The first nonempty face, in `_faces_ascending` order, onto whose
+    star H_d(c) does not project, with the dimension of the cokernel
+    (d = dim c), or None."""
+    for face in _faces_ascending(c):
+        coker = _projection_cokernel(c, f, 0, c.mask(face))
+        if coker:
+            return face, coker
+    return None
+
+
 def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
     """Buchsbaum, and removing the open star of any nonempty face keeps the
     reduced Betti number one below top unchanged.
@@ -251,13 +261,13 @@ def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
     b = is_buchsbaum(c, f)
     if not b:
         return Verdict(False, f"not Buchsbaum: {b.witness}")
-    for face in _faces_ascending(c):
-        coker = _projection_cokernel(c, f, 0, c.mask(face))
-        if coker:
-            target = betti_at(c, f, c.dim - 1)
-            return Verdict(False, f"{c.describe_face(face)}: contrastar Betti "
-                                  f"{target + coker} != {target} in degree {c.dim - 1}")
-    return Verdict(True)
+    violation = _projection_violation(c, f)
+    if violation is None:
+        return Verdict(True)
+    face, coker = violation
+    target = betti_at(c, f, c.dim - 1)
+    return Verdict(False, f"{c.describe_face(face)}: contrastar Betti "
+                          f"{target + coker} != {target} in degree {c.dim - 1}")
 
 
 def is_m_buchsbaum_star(c: Complex, f: FieldSpec, m: int) -> bool:
@@ -289,7 +299,6 @@ class ManifoldReport:
     witness: str | None = None
 
 
-@lru_cache(maxsize=None)
 def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
     if not c.is_pure:
         return ManifoldReport(False, False, None, False, "not pure")
@@ -407,13 +416,7 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
     return report
 
 
-_MEMOISED = (_link_walk, is_buchsbaum_star, _manifold_report)
-
-
 def clear_caches() -> None:
-    """Empty the verdict memos here and the homology memos keyed by shape,
-    so no complex decided so far is kept alive by them."""
-    for fn in _MEMOISED:
-        fn.cache_clear()
-    _betti_tables.clear()
-    _star_cycles.clear()
+    """Empty the one memo table, keyed by shape, that holds the Betti
+    tables, star cycles, link walks and projection sweeps."""
+    _shapes.clear()

@@ -283,13 +283,14 @@ def check_rigidity_connectivity(entries, fields, seed=0) -> TheoremResult:
             continue
         g = graph_of(c)
         d = c.dim + 1
+        k = None  # the connectivity of g, computed once when first needed
         for f in fields:
             if is_buchsbaum(c, f) and d - 1 >= 1 and g.n >= 2:
-                k = vertex_connectivity(g)
+                k = vertex_connectivity(g) if k is None else k
                 if k < d - 1 or g.n < d:
                     r.fail(f"{name} over {f}: connectivity {k} below {d - 1}")
             if is_buchsbaum_star(c, f) and g.n >= 2:
-                k = vertex_connectivity(g)
+                k = vertex_connectivity(g) if k is None else k
                 if k < d or g.n < d + 1:
                     r.fail(f"{name} over {f}: connectivity {k} below {d}")
                 if d >= 3:

@@ -9,21 +9,23 @@ numbers alone, through the long exact sequence of the pair, where the
 package reduces each cycle of a against the boundaries of c.  The
 oracles that take a `Complex` use the package's public API and helpers:
 `link_homology_violation` walks the links anew for each decider, where
-the package walks them once per complex and field and CM, Buchsbaum and
+the package walks them once per shape and field and CM, Buchsbaum and
 the manifold report read that walk (Gorenstein* reads the manifold
 report); `buchsbaum_star_by_contrastars` decides by the definition,
 rebuilding every contrastar, where the package projects top cycles; and
 `manifold_report_by_recursion` recognises a manifold with boundary by
 deciding each ball-like link as a manifold in turn, where the package
 tests each link once.  The m-fold projection deciders are compared with
-`properties._deletion_sweep`, which builds and decides every deletion.
+`properties._deletion_sweep`, which builds and decides every deletion,
+and the m ≥ 3 sweep with `m_fold_by_rebuild`, which rebuilds each
+deletion from labelled facets and walks its links anew.
 """
 
 import itertools
 
 import sympy
 
-from bstar.complexes import _rebuild, contrastar, link, predicates
+from bstar.complexes import _rebuild, contrastar, from_facets, link, predicates
 from bstar.homology import _embedded_face_set, betti, betti_at, relative_betti
 from bstar.properties import (ManifoldReport, _faces_ascending, _link_violation,
                               is_buchsbaum)
@@ -204,6 +206,29 @@ def link_homology_violation(c, f, include_empty, top=None):
             where = "the whole complex" if not face else f"link of {c.describe_face(face)}"
             return f"{where} {why}"
     return None
+
+
+def m_fold_by_rebuild(c, f, m, cm):
+    """Whether every deletion of fewer than m vertices keeps the dimension
+    of c and is Cohen-Macaulay (`cm`) or Buchsbaum, each deletion rebuilt
+    from the labelled facets of c by `from_facets` and decided by
+    `link_homology_violation`.  A deletion with no vertex left is {∅},
+    which keeps the dimension only when c is {∅} itself."""
+    facets = [c.face_labels(facet) for facet in c.facets]
+    for k in range(m):
+        for gone in itertools.combinations(c.labels, k):
+            kept = [[lab for lab in facet if lab not in gone] for facet in facets]
+            if any(kept):
+                rest = from_facets(kept)
+            elif c.dim == -1:
+                rest = c
+            else:
+                return False
+            if rest.dim != c.dim or not (cm or rest.is_pure):
+                return False
+            if link_homology_violation(rest, f, cm) is not None:
+                return False
+    return True
 
 
 def buchsbaum_star_by_contrastars(c, field):

@@ -323,6 +323,14 @@ def test_parse_rejects_distinct_labels_python_holds_equal(facets, pair):
     assert parse(json.dumps({"facets": [[1, 2], [1, 3], ["1", None]]})).n_vertices == 5
 
 
+def test_from_facets_rejects_distinct_labels_python_holds_equal():
+    with pytest.raises(ValueError, match="labels 1 and True are equal"):
+        from_facets([[1, 2], [True, 3]])
+    with pytest.raises(ValueError, match="labels 1 and True are equal"):
+        from_facets([[1, True]])  # within one facet, before a set merges them
+    assert from_facets(iter([(1, 2), (2, 3)])).n_vertices == 3  # facets read once
+
+
 def test_serialization_stable(torus):
     assert to_json(torus) == to_json(from_facets(
         [torus.face_labels(f) for f in torus.facets]))

@@ -158,17 +158,21 @@ def test_rank_cache_keyed_by_shape():
     assert letters != numbers
     shape = (letters.n_vertices, letters._facet_masks)
     assert shape == (numbers.n_vertices, numbers._facet_masks)
-    cache = homology._betti_tables
+    cache = homology._shapes
 
     def betti_of(c):
         return [betti(c, f) for f in (QQ, GF2)]
 
+    def entries():
+        return sum(len(entry) for entry in cache.values())
+
     first = betti_of(letters)
-    assert {k[2:] for k in cache if k[:2] == shape} == {(QQ,), (GF2,)}
-    size = len(cache)
+    assert {k[1:] for k in cache[shape] if k[0].__name__ == "betti"} == {(QQ,), (GF2,)}
+    size = entries()
     assert betti_of(numbers) == first
-    assert len(cache) == size
+    assert entries() == size
     assert "_faces_by_dim" not in numbers.__dict__  # a hit enumerates no face
+    assert betti(numbers, field=QQ) == first[0]
 
 
 def test_rank_cache_keeps_no_complex_alive():

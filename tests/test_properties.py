@@ -4,12 +4,12 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (buchsbaum_star_by_contrastars, link_homology_violation,
-                     manifold_report_by_recursion)
+                     m_fold_by_rebuild, manifold_report_by_recursion)
 
-from bstar import clear_caches, properties
+from bstar import clear_caches, homology, properties
 from bstar.complexes import cone, deletion, from_facets, link, skeleton
 from bstar.constructions import (bowtie, corpus, cross_polytope, cycle, example_2_10_i,
                                  example_2_10_iii, simplex, simplex_boundary, torus7)
@@ -116,6 +116,16 @@ def test_m_fold_deciders_match_full_rebuild_sweep(c):
         for fast, decider in ((is_m_cohen_macaulay, is_cohen_macaulay),
                               (is_m_buchsbaum, is_buchsbaum)):
             assert fast(c, f, 2) == properties._deletion_sweep(c, f, 2, decider)
+
+
+@given(complexes_up_to_7_vertices())
+@example(skeleton(simplex(5), 2))  # 3-fold CM in dimension 2
+@example(cross_polytope(3))  # doubly CM, not 3-fold Buchsbaum
+@settings(max_examples=150, deadline=None)
+def test_m3_deciders_match_deletions_rebuilt_from_facets(c):
+    for f in (QQ, GF2, FieldSpec(3)):
+        assert is_m_cohen_macaulay(c, f, 3) == m_fold_by_rebuild(c, f, 3, cm=True)
+        assert is_m_buchsbaum(c, f, 3) == m_fold_by_rebuild(c, f, 3, cm=False)
 
 
 def test_property_report_builds_no_deletion(monkeypatch):
@@ -253,8 +263,40 @@ def test_clear_caches_frees_decided_complexes():
 
 
 def test_clear_caches_covers_every_memo():
-    memos = {fn for fn in vars(properties).values() if hasattr(fn, "cache_clear")}
-    assert memos == set(properties._MEMOISED)
+    # every memo is an entry of the one table keyed by shape; no lru_cache
+    # is kept beside it
+    for module in (homology, properties):
+        assert not [name for name, fn in vars(module).items() if hasattr(fn, "cache_clear")]
+    clear_caches()
+    property_report(example_2_10_i(), QQ)
+    memos = {key[0].__name__ for entry in homology._shapes.values() for key in entry}
+    assert memos == {"betti", "_star_top_cycles", "_link_walk", "_projection_violation"}
+    clear_caches()
+    assert homology._shapes == {}
+
+
+def test_relabelled_copy_reads_every_verdict_from_the_shape_memo(monkeypatch):
+    # verdicts depend on the shape only: a relabelled copy builds no link,
+    # its witnesses name its own labels, and no memo keeps a complex alive
+    calls = []
+
+    def counting_link(c, face):
+        calls.append(c.mask(face))
+        return link(c, face)
+
+    clear_caches()
+    lower = from_facets([("p", "a", "b"), ("p", "c", "d")])
+    first = property_report(lower, QQ)
+    ref = weakref.ref(lower)
+    del lower
+    gc.collect()
+    assert ref() is None
+    monkeypatch.setattr(properties, "link", counting_link)
+    rep = property_report(from_facets([("P", "A", "B"), ("P", "C", "D")]), QQ)
+    assert calls == []
+    assert rep.verdicts == first.verdicts
+    assert set(rep.witnesses) == {"cohen_macaulay", "buchsbaum", "buchsbaum*", "homology_manifold"}
+    assert all("vertex P" in w and "vertex p" not in w for w in rep.witnesses.values())
 
 
 def test_m_buchsbaum_star(octahedron):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bstar import rigidity
 from bstar.constructions import cross_polytope, path, simplex_boundary
+from bstar.linalg import rank
 from bstar.rigidity import (Graph, graph_of, is_generically_d_rigid,
                             rigidity_matrix, vertex_connectivity)
 from oracles import connectivity_by_cuts
@@ -84,6 +86,23 @@ def test_rigidity_path_flexible():
     g = graph_of(path(3))
     assert is_generically_d_rigid(g, 1)
     assert not is_generically_d_rigid(g, 2)
+
+
+def test_rigidity_flexible_with_enough_edges(monkeypatch):
+    # K4 and a triangle hinged at vertex 3: 9 = 2n - 3 edges, yet the
+    # triangle turns about the hinge, so every trial falls short of the
+    # target rank modulo p and over Q before the verdict is False
+    fields = []
+
+    def counting_rank(rows, field):
+        fields.append(field.p is None)
+        return rank(rows, field)
+
+    monkeypatch.setattr(rigidity, "rank", counting_rank)
+    g = Graph(6, frozenset([*itertools.combinations(range(4), 2), (3, 4), (3, 5), (4, 5)]))
+    assert len(g.edges) == 2 * g.n - 3
+    assert not is_generically_d_rigid(g, 2)
+    assert fields == [False, True] * 3
 
 
 def test_rigidity_octahedron(octahedron):
