@@ -12,6 +12,13 @@ subcomplex, for its cycles and the chains they may bound in; those that
 contain a face, for a star), and every rank, cycle basis and span test
 goes to the sparse entry points of `linalg`.  A subcomplex enters as its
 face masks in the ambient complex, matched by label in `_embedded_face_set`.
+
+Betti numbers, of a complex or of a pair, are ranked from the top degree
+down, with clearing (Chen-Kerber 2011, "Persistent homology computation
+with a twist"; see `linalg`): each pivot row of the boundary map out of
+the (i+1)-cells is an i-cell whose column in the map out of the i-cells
+would reduce to zero, so `_boundary` skips it and the rank is the number
+of pivots of the columns that are left.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import functools
 from dataclasses import dataclass
 
 from .complexes import Complex, _mask_of, _tuple_of
-from .linalg import FieldSpec, sparse_in_span, sparse_nullspace, sparse_rank
+from .linalg import FieldSpec, sparse_in_span, sparse_nullspace, sparse_pivots, sparse_rank
 
 __all__ = [
     "BettiTable",
@@ -51,15 +58,15 @@ class BettiTable:
         return self.betti[-1]
 
 
-def _boundary(c: Complex, d: int, keep=None):
+def _boundary(c: Complex, d: int, keep=None, skip=frozenset()):
     """The boundary map from the d-cells to the (d-1)-cells of c, as
     sparse columns (see `linalg`), with the two cell lists.
 
     With `keep`, only the cells whose masks it accepts are used: for a
     pair, the cells outside the subcomplex; for a star, the cells that
-    contain the face.
+    contain the face.  The d-cells in `skip` (masks) give no column.
     """
-    cells = [m for m in c.face_masks(d) if keep is None or keep(m)]
+    cells = [m for m in c.face_masks(d) if (keep is None or keep(m)) and m not in skip]
     rows = [m for m in c.face_masks(d - 1) if keep is None or keep(m)]
     index = {m: i for i, m in enumerate(rows)}
     columns = []
@@ -96,12 +103,15 @@ def _by_shape(fn):
 
 @_by_shape
 def betti(c: Complex, field: FieldSpec) -> BettiTable:
-    ranks = [0]  # ranks[i + 1]: rank of the boundary out of the i-cells, i = -1..dim+1
-    for i in range(0, c.dim + 1):
-        columns, _, rows = _boundary(c, i)
-        ranks.append(sparse_rank(columns, len(rows), field))
-        del columns, rows  # one matrix alive at a time
-    ranks.append(0)
+    # Ranked from the top degree down, with clearing (see the module docstring).
+    ranks = [0] * (c.dim + 3)  # ranks[i + 1]: rank of the boundary out of the i-cells
+    cleared = frozenset()
+    for i in range(c.dim, -1, -1):
+        columns, _, rows = _boundary(c, i, skip=cleared)
+        pivots = sparse_pivots(columns, len(rows), field)
+        ranks[i + 1] = len(pivots)
+        cleared = {rows[r] for r in pivots}
+        del columns, rows, pivots  # one matrix alive at a time
     return BettiTable(field, tuple(len(c.face_masks(i)) - ranks[i + 1] - ranks[i + 2]
                                    for i in range(-1, c.dim + 1)))
 
@@ -142,10 +152,15 @@ def _relative_betti(c: Complex, excluded: set[int], field: FieldSpec, i: int) ->
     included) in c, from the quotient chain complex."""
     if i < 0 or i > c.dim:
         return 0
-    lower, cells, rows = _boundary(c, i, lambda m: m not in excluded)
-    upper, _, _ = _boundary(c, i + 1, lambda m: m not in excluded)
-    return (len(cells) - sparse_rank(lower, len(rows), field)
-            - sparse_rank(upper, len(cells), field))
+
+    def keep(m):
+        return m not in excluded
+    # the upper map first: its pivot rows clear columns of the lower one
+    upper, _, cells = _boundary(c, i + 1, keep)
+    pivots = sparse_pivots(upper, len(cells), field)
+    del upper
+    lower, _, rows = _boundary(c, i, keep, {cells[r] for r in pivots})
+    return len(cells) - len(pivots) - sparse_rank(lower, len(rows), field)
 
 
 def relative_betti(c: Complex, a: Complex, field: FieldSpec, i: int) -> int:

@@ -21,13 +21,26 @@ fraction-free on integers, dividing every combined column by the gcd of
 its entries.  Over GF(p) the entries are ints, taken mod p, or
 ``Fraction``s, a/b taken as a times the inverse of b mod p (a ValueError
 if p divides b).
-``sparse_rank``, ``sparse_nullspace`` and ``sparse_in_span`` take this
-format; they are the one entry point per operation.  ``rank``,
-``nullspace_basis`` and ``in_column_space`` take dense matrices, sequences
-of equal-length rows, convert them to it and call them.
+``sparse_pivots``, ``sparse_rank``, ``sparse_nullspace`` and
+``sparse_in_span`` take this format; they are the one entry point per
+operation.  ``rank``, ``nullspace_basis`` and ``in_column_space`` take
+dense matrices, sequences of equal-length rows, convert them to it and
+call them.
+
+Pivot rows and clearing.  ``sparse_pivots`` gives the pivot rows of the
+reduced columns; the rank is their number.  They serve the clearing
+lemma of persistent homology (Chen-Kerber 2011).  Let d' and d be maps
+with d d' = 0, where the row order of d' is the column order of d, and
+reduce d' left to right, the pivot being the last nonzero row.  A pivot
+row r then ends a reduced column of d', a combination of columns of d',
+which d maps to zero: a nonzero multiple of column r of d plus earlier
+columns of d.  So column r of d reduces to zero, and d has the rank of
+its columns that are not pivot rows of d', over every field.
 
 Every path refuses a matrix of more than ``set_max_cells`` rows x columns,
-and checks each kernel vector against the matrix before returning it.
+counting the matrix it is handed (for a cleared boundary map, the columns
+that are left), and checks each kernel vector against the matrix before
+returning it.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ __all__ = [
     "rank",
     "nullspace_basis",
     "in_column_space",
+    "sparse_pivots",
     "sparse_rank",
     "sparse_nullspace",
     "sparse_in_span",
@@ -137,6 +151,8 @@ def _check_cells(nrows: int, ncols: int) -> None:
 
 def _residue(x, p: int) -> int:
     """x mod p; a Fraction a/b is a times the inverse of b."""
+    if type(x) is int:  # the common case, without the ABC check below
+        return x % p
     if isinstance(x, Fraction):
         if x.denominator % p == 0:
             raise ValueError(f"{x} has no residue mod {p}")
@@ -148,7 +164,8 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
     """The elimination loop (see the module docstring), over GF(p) or,
     for ``p is None``, over the rationals.
 
-    Returns the rank and the free columns as (index, leftover) pairs.
+    Returns the pivot rows, in the order of their columns, and the free
+    columns as (index, leftover) pairs.
     With `record` every column carries its operations as entries at
     negative rows, row ~k holding the coefficient of column k, so the
     leftover of a free column is its kernel vector before scaling.
@@ -162,7 +179,7 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
             # Clearing the denominators scales column j, so its record
             # starts at that scale and stays relative to the given column.
             for x in entries.values():
-                if isinstance(x, Fraction):
+                if type(x) is not int and isinstance(x, Fraction):
                     scale = lcm(scale, x.denominator)
             col = {i: int(x * scale) for i, x in entries.items() if x}
         else:
@@ -179,7 +196,7 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
                 pivots[low] = col
                 break
             col = _eliminate(col, other, low, p)
-    return len(pivots), free
+    return list(pivots), free
 
 
 def _eliminate(col: dict, other: dict, low: int, p: int | None) -> dict:
@@ -211,9 +228,15 @@ def _eliminate(col: dict, other: dict, low: int, p: int | None) -> dict:
     return col
 
 
+def sparse_pivots(columns, nrows: int, field: FieldSpec) -> list[int]:
+    """The pivot rows over `field` of a sparse matrix (see the column
+    format and the clearing lemma), in the order of their columns."""
+    return _reduce(columns, nrows, field.p)[0]
+
+
 def sparse_rank(columns, nrows: int, field: FieldSpec) -> int:
     """Exact rank over `field` of a sparse matrix (see the column format)."""
-    return _reduce(columns, nrows, field.p)[0]
+    return len(_reduce(columns, nrows, field.p)[0])
 
 
 def sparse_nullspace(columns, nrows: int, field: FieldSpec) -> list[dict]:

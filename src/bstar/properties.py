@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-from .complexes import Complex, _rebuild, deletion, link, predicates
+from .complexes import Complex, _rebuild, deletion, link
 from .homology import (_by_shape, _projection_cokernel, _relative_betti, _shapes,
                        betti, betti_at)
 from .linalg import FieldSpec
@@ -324,7 +324,7 @@ def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
             f"link of {c.describe_face(failed)} is neither a homology "
             f"sphere nor a homology ball",
         )
-    ncomp = len(predicates(c).components)
+    ncomp = betti_at(c, f, 0) + 1  # over any field, as c is nonempty
     if not boundary_faces:
         return ManifoldReport(True, True, None, betti_at(c, f, d) == ncomp)
     if any(m ^ bit and m ^ bit not in boundary_faces

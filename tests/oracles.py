@@ -19,6 +19,9 @@ tests each link once.  The m-fold projection deciders are compared with
 `properties._deletion_sweep`, which builds and decides every deletion,
 and the m ≥ 3 sweep with `m_fold_by_rebuild`, which rebuilds each
 deletion from labelled facets and walks its links anew.
+`betti_by_full_ranks` and `relative_betti_by_full_ranks` rank every
+boundary map in full, bottom-up, where the package ranks top-down and
+skips the columns that the degree above proves zero (clearing).
 """
 
 import itertools
@@ -26,7 +29,8 @@ import itertools
 import sympy
 
 from bstar.complexes import _rebuild, contrastar, from_facets, link, predicates
-from bstar.homology import _embedded_face_set, betti, betti_at, relative_betti
+from bstar.homology import _boundary, _embedded_face_set, betti, betti_at, relative_betti
+from bstar.linalg import sparse_rank
 from bstar.properties import (ManifoldReport, _faces_ascending, _link_violation,
                               is_buchsbaum)
 
@@ -285,3 +289,26 @@ def manifold_report_by_recursion(c, f):
                               "boundary faces do not form a subcomplex")
     orientable = relative_betti(c, bcomplex, f, d) == ncomp
     return ManifoldReport(True, False, bcomplex, orientable, ball_note)
+
+
+def betti_by_full_ranks(c, field):
+    """Reduced Betti numbers (beta_-1, ..., beta_dim) of c, each boundary
+    map built and ranked in full, from degree 0 up, with no clearing."""
+    ranks = [0] + [sparse_rank(_boundary(c, i)[0], len(c.face_masks(i - 1)), field)
+                   for i in range(0, c.dim + 1)] + [0]
+    return tuple(len(c.face_masks(i)) - ranks[i + 1] - ranks[i + 2]
+                 for i in range(-1, c.dim + 1))
+
+
+def relative_betti_by_full_ranks(c, excluded, field, i):
+    """dim H_i of the pair (c, a), for the face masks `excluded` of a in c,
+    from both boundary maps of the quotient chain complex in full."""
+    if i < 0 or i > c.dim:
+        return 0
+
+    def outside(m):
+        return m not in excluded
+    lower, cells, rows = _boundary(c, i, outside)
+    upper = _boundary(c, i + 1, outside)[0]
+    return (len(cells) - sparse_rank(lower, len(rows), field)
+            - sparse_rank(upper, len(cells), field))

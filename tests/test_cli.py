@@ -85,6 +85,14 @@ def test_homology(capsys):
     assert tables["gf:2"] == [0, 0, 1, 1]
 
 
+def test_homology_ranks_only_the_uncleared_columns_under_the_cell_guard(capsys):
+    # in full, the boundary map out of the 5-faces has 4032 x 5376 cells,
+    # above the default guard of 2^24; after clearing it is 4032 x 2561
+    code, out, err = run_cli(capsys, "homology", "named:cross_polytope:9")
+    assert code == 0 and err == ""
+    assert [t["betti"] for t in json.loads(out)["homology"]] == [[0] * 9 + [1]] * 2
+
+
 def test_construct_product(capsys, tmp_path):
     out_file = str(tmp_path / "t.json")
     code, out, _ = run_cli(capsys, "construct", "product", "named:cycle3",

@@ -2,19 +2,23 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bstar.complexes import contrastar, deletion, from_facets, join, skeleton
-from bstar.constructions import (cross_polytope, example_2_10_iii, path,
+from bstar.constructions import (cross_polytope, example_2_10_iii, path, rp2_6,
                                  simplex, simplex_boundary, torus7)
 from bstar.homology import (betti, betti_at, inclusion_induced_is_zero,
                             reduced_euler_characteristic, relative_betti,
                             relative_surjectivity, top_projection_surjective,
-                            _boundary, _embedded_face_set)
+                            _boundary, _embedded_face_set, _relative_betti)
 from bstar.linalg import GF2, QQ, FieldSpec
-from bstar import homology
-from oracles import betti_numbers, pair_homology
+from bstar import clear_caches, homology, linalg
+from oracles import (betti_by_full_ranks, betti_numbers, pair_homology,
+                     relative_betti_by_full_ranks)
+from strategies import complexes_up_to_7_vertices
+
+FIELDS = (QQ, GF2, FieldSpec(3))
 
 
 def test_sphere_betti(sphere2):
@@ -63,6 +67,50 @@ def test_boundary_squares_to_zero(torus, octahedron):
                         for i, y in lower[k].items():
                             image[i] = image.get(i, 0) + x * y
                     assert not any(image.values())
+
+
+@given(complexes_up_to_7_vertices())
+@example(torus7())
+@example(rp2_6())  # torsion: the ranks over Q and GF(2) differ
+@example(deletion(simplex(0), [0]))  # the complex {∅}
+@example(from_facets([(0, 1), (1, 2, 3)]))  # no pivot above clears the bridge 01
+@settings(max_examples=150, deadline=None)
+def test_betti_matches_full_bottom_up_ranks(c):
+    for f in FIELDS:
+        assert betti(c, f).betti == betti_by_full_ranks(c, f)
+
+
+@given(complexes_up_to_7_vertices(), st.integers(min_value=0))
+@example(rp2_6(), 0)
+@settings(max_examples=150, deadline=None)
+def test_relative_betti_matches_full_ranks(c, k):
+    subcomplexes = [skeleton(c, max(c.dim - 1, 0))]
+    faces = [f for d in range(c.dim + 1) for f in c.faces(d)]
+    if faces:  # c is not {∅}
+        subcomplexes.append(contrastar(c, faces[k % len(faces)]))
+    for a in subcomplexes:
+        excluded = _embedded_face_set(a, c)
+        for f in FIELDS:
+            for i in range(-1, c.dim + 2):
+                assert (_relative_betti(c, excluded, f, i)
+                        == relative_betti_by_full_ranks(c, excluded, f, i))
+
+
+def test_betti_hands_reduce_only_the_uncleared_columns(monkeypatch):
+    handed = []
+    reduce = linalg._reduce
+
+    def counting_reduce(columns, *args, **kwargs):
+        handed.append(len(columns))
+        return reduce(columns, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_reduce", counting_reduce)
+    clear_caches()
+    assert betti(cross_polytope(4), QQ).betti == (0, 0, 0, 0, 1)
+    # f = (1, 8, 24, 32, 16); each degree hands over f_i minus the rank
+    # of the degree above, from the top down (in full: 8 + 24 + 32 + 16 = 80)
+    assert handed == [16, 17, 7, 1]
+    assert sum(handed) == 41
 
 
 def test_euler_characteristic_agrees(torus, octahedron, projective_plane):

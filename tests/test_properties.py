@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (buchsbaum_star_by_contrastars, link_homology_violation,
                      m_fold_by_rebuild, manifold_report_by_recursion)
+from strategies import complexes_up_to_7_vertices
 
 from bstar import clear_caches, homology, properties
 from bstar.complexes import cone, deletion, from_facets, link, skeleton
@@ -85,20 +86,6 @@ def test_buchsbaum_star_single_edge():
     assert is_buchsbaum(from_facets([(0, 1)]), QQ)
     assert not is_buchsbaum_star(from_facets([(0, 1)]), QQ)
     assert is_buchsbaum_star(simplex_boundary(2), QQ)
-
-
-@st.composite
-def complexes_up_to_7_vertices(draw):
-    n = draw(st.integers(2, 7))
-    facets = [draw(st.permutations(range(n)))[:draw(st.integers(1, min(n, 4)))]
-              for _ in range(draw(st.integers(1, 7)))]
-    c = from_facets(facets)
-    # deletions and skeletons give non-pure and non-Buchsbaum cases, and
-    # Buchsbaum graphs that fail only at a vertex
-    gone = draw(st.sets(st.integers(0, c.n_vertices - 1), max_size=1))
-    if gone:
-        c = deletion(c, sorted(gone))
-    return skeleton(c, draw(st.integers(1, 3)))
 
 
 @given(complexes_up_to_7_vertices())
