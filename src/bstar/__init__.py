@@ -14,8 +14,8 @@ from .complexes import (Complex, FaceCountError, cone, contrastar, deletion,
 from .constructions import (corpus, cross_polytope, cycle, named, path, product,
                             simplex, simplex_boundary, stacked_sphere,
                             verify_ear_decomposition)
-from .homology import (BettiTable, betti, betti_at, inclusion_induced_is_zero,
-                       relative_betti, relative_surjectivity)
+from .homology import (BettiTable, betti, betti_at, contrastar_betti,
+                       inclusion_induced_is_zero, relative_betti, relative_surjectivity)
 from .linalg import GF2, QQ, FieldSpec, in_column_space, nullspace_basis, rank
 from .properties import (ConsistencyError, PropertyReport, SubsetGuardError,
                          clear_caches, is_buchsbaum, is_buchsbaum_star,

@@ -300,13 +300,19 @@ def deletion(c: Complex, vertices: Iterable[int]) -> Complex:
     return _rebuild([f & ~t for f in c._facet_masks], c)
 
 
-def contrastar(c: Complex, face: Iterable[int]) -> Complex:
-    """All faces that do not contain `face` (which must be a nonempty face)."""
+def _contrastar_mask(c: Complex, face: Iterable[int]) -> int:
+    """The mask of `face`; a ValueError unless it is a nonempty face of c."""
     s = c.mask(face)
     if s == 0:
         raise ValueError("contrastar of the empty face is not defined")
     if not c.has_mask(s):
         raise ValueError("not a face")
+    return s
+
+
+def contrastar(c: Complex, face: Iterable[int]) -> Complex:
+    """All faces that do not contain `face` (which must be a nonempty face)."""
+    s = _contrastar_mask(c, face)
     masks = []
     for f in c._facet_masks:
         if f & s != s:

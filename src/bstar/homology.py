@@ -1,4 +1,4 @@
-"""Reduced simplicial homology over a field, for complexes and pairs.
+"""Reduced simplicial homology over a field: complexes, pairs, contrastars.
 
 Chain groups are spanned by the faces of each dimension, including the
 empty face as the single (-1)-cell, so every Betti number below is
@@ -9,16 +9,25 @@ of a face drops its k-th smallest vertex with sign (-1)^k.
 in the format of `linalg`, for a whole complex or for the cells that a
 predicate keeps (those outside a subcomplex, for a pair; those inside a
 subcomplex, for its cycles and the chains they may bound in; those that
-contain a face, for a star), and every rank, cycle basis and span test
-goes to the sparse entry points of `linalg`.  A subcomplex enters as its
-face masks in the ambient complex, matched by label in `_embedded_face_set`.
+do not contain a face, for its contrastar; those that contain a face, for
+a star), and every rank, cycle basis and span test goes to the sparse
+entry points of `linalg`.  A subcomplex enters as its face masks in the
+ambient complex, matched by label in `_embedded_face_set`.
 
-Betti numbers, of a complex or of a pair, are ranked from the top degree
-down, with clearing (Chen-Kerber 2011, "Persistent homology computation
-with a twist"; see `linalg`): each pivot row of the boundary map out of
-the (i+1)-cells is an i-cell whose column in the map out of the i-cells
-would reduce to zero, so `_boundary` skips it and the rank is the number
-of pivots of the columns that are left.
+`_kept_betti` gives the homology of the cells a predicate keeps, under
+the boundary of the whole complex: of a pair (`relative_betti`) or of a
+contrastar (`contrastar_betti`), which is never built as a complex.  Its
+degree -1 counts the empty face only where the predicate keeps it: never
+for a pair, whose subcomplex holds the empty face, always for a
+contrastar, so the contrastar {∅} of the only vertex of a point has
+beta_{-1} = 1.
+
+Betti numbers, of a complex, a pair or a contrastar, are ranked from the
+top degree down, with clearing (Chen-Kerber 2011, "Persistent homology
+computation with a twist"; see `linalg`): each pivot row of the boundary
+map out of the (i+1)-cells is an i-cell whose column in the map out of
+the i-cells would reduce to zero, so `_boundary` skips it and the rank
+is the number of pivots of the columns that are left.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .complexes import Complex, _mask_of, _tuple_of
+from .complexes import Complex, _contrastar_mask, _mask_of, _tuple_of
 from .linalg import FieldSpec, sparse_in_span, sparse_nullspace, sparse_pivots, sparse_rank
 
 __all__ = [
@@ -35,6 +44,7 @@ __all__ = [
     "betti_at",
     "reduced_euler_characteristic",
     "relative_betti",
+    "contrastar_betti",
     "inclusion_induced_is_zero",
     "first_nonbounding_cycle",
     "relative_surjectivity",
@@ -63,8 +73,9 @@ def _boundary(c: Complex, d: int, keep=None, skip=frozenset()):
     sparse columns (see `linalg`), with the two cell lists.
 
     With `keep`, only the cells whose masks it accepts are used: for a
-    pair, the cells outside the subcomplex; for a star, the cells that
-    contain the face.  The d-cells in `skip` (masks) give no column.
+    pair, the cells outside the subcomplex; for a contrastar, the cells
+    that do not contain the face; for a star, the cells that contain it.
+    The d-cells in `skip` (masks) give no column.
     """
     cells = [m for m in c.face_masks(d) if (keep is None or keep(m)) and m not in skip]
     rows = [m for m in c.face_masks(d - 1) if keep is None or keep(m)]
@@ -147,14 +158,13 @@ def _embedded_face_set(a: Complex, c: Complex) -> set[int]:
     return {embed(m) for d in range(-1, a.dim + 1) for m in a.face_masks(d)}
 
 
-def _relative_betti(c: Complex, excluded: set[int], field: FieldSpec, i: int) -> int:
-    """dim H_i of the pair (c, a), for the face masks of a (the empty face
-    included) in c, from the quotient chain complex."""
-    if i < 0 or i > c.dim:
+def _kept_betti(c: Complex, keep, field: FieldSpec, i: int) -> int:
+    """dim H_i of the cells of c that `keep` accepts, under the boundary of
+    c: the quotient chain complex of a pair when they are the cells outside
+    a subcomplex, the chain complex of a subcomplex when they are its cells.
+    Degree -1 is the empty face, so it counts only if `keep` accepts it."""
+    if i < -1 or i > c.dim:
         return 0
-
-    def keep(m):
-        return m not in excluded
     # the upper map first: its pivot rows clear columns of the lower one
     upper, _, cells = _boundary(c, i + 1, keep)
     pivots = sparse_pivots(upper, len(cells), field)
@@ -165,7 +175,16 @@ def _relative_betti(c: Complex, excluded: set[int], field: FieldSpec, i: int) ->
 
 def relative_betti(c: Complex, a: Complex, field: FieldSpec, i: int) -> int:
     """dim H_i of the pair (c, a), computed from the quotient chain complex."""
-    return _relative_betti(c, _embedded_face_set(a, c), field, i)
+    excluded = _embedded_face_set(a, c)
+    return _kept_betti(c, lambda m: m not in excluded, field, i)
+
+
+def contrastar_betti(c: Complex, face, field: FieldSpec, i: int) -> int:
+    """The reduced Betti number beta_i of the contrastar of a nonempty face,
+    ranked on the cells of c that do not contain it, so no contrastar is
+    built; 0 outside -1..dim."""
+    s = _contrastar_mask(c, face)
+    return _kept_betti(c, lambda m: m & s != s, field, i)
 
 
 def inclusion_induced_is_zero(a: Complex, c: Complex, i: int, field: FieldSpec) -> bool:

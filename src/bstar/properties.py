@@ -59,7 +59,7 @@ from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .complexes import Complex, _rebuild, deletion, link
-from .homology import (_by_shape, _projection_cokernel, _relative_betti, _shapes,
+from .homology import (_by_shape, _kept_betti, _projection_cokernel, _shapes,
                        betti, betti_at)
 from .linalg import FieldSpec
 
@@ -331,7 +331,8 @@ def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
            for m in boundary_faces for bit in _bits(m)):
         return ManifoldReport(False, False, None, False,
                               "boundary faces do not form a subcomplex")
-    orientable = _relative_betti(c, boundary_faces | {0}, f, d) == ncomp
+    # H_d of the pair (c, boundary), on the nonempty faces off the boundary
+    orientable = _kept_betti(c, lambda m: m and m not in boundary_faces, f, d) == ncomp
     return ManifoldReport(True, False, _rebuild(boundary_faces, c), orientable, ball_note)
 
 

@@ -5,7 +5,7 @@ max-flow on a vertex-split digraph, minimised over non-adjacent pairs
 (complete graphs are n-1 connected by convention).
 
 Rigidity in dimension d is decided by the rank of the bar-joint rigidity
-matrix at random integer placements.  A placement certifying the maximal
+matrix at random integer placements, ranked as one sparse column per edge.  A placement certifying the maximal
 rank proves generic rigidity outright; sub-maximal modular rank is
 re-checked exactly over the rationals before a trial counts as evidence
 of flexibility, so only "flexible" verdicts carry (vanishing) error
@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .complexes import Complex
-from .linalg import FieldSpec, QQ, is_prime, rank
+from .linalg import FieldSpec, QQ, is_prime, sparse_rank
 
 __all__ = ["Graph", "graph_of", "vertex_connectivity", "is_generically_d_rigid",
            "rigidity_matrix"]
@@ -107,16 +107,28 @@ def vertex_connectivity(g: Graph) -> int:
     return best
 
 
-def rigidity_matrix(placement: list[tuple[int, ...]], edges, d: int):
-    """One row per edge {u,v}: block p(u)-p(v) at u, p(v)-p(u) at v."""
-    n = len(placement)
-    rows = []
+def _rigidity_columns(placement: list[tuple[int, ...]], edges, d: int) -> list[dict]:
+    """The rows of the rigidity matrix as sparse columns (see `linalg`) of
+    its transpose, one per edge in sorted order, with at most 2d entries."""
+    columns = []
     for u, v in sorted(edges):
-        row = [0] * (d * n)
+        col = {}
         for k in range(d):
             diff = placement[u][k] - placement[v][k]
-            row[d * u + k] = diff
-            row[d * v + k] = -diff
+            if diff:
+                col[d * u + k] = diff
+                col[d * v + k] = -diff
+        columns.append(col)
+    return columns
+
+
+def rigidity_matrix(placement: list[tuple[int, ...]], edges, d: int):
+    """One row per edge {u,v}: block p(u)-p(v) at u, p(v)-p(u) at v."""
+    rows = []
+    for col in _rigidity_columns(placement, edges, d):
+        row = [0] * (d * len(placement))
+        for i, x in col.items():
+            row[i] = x
         rows.append(row)
     return rows
 
@@ -148,10 +160,10 @@ def is_generically_d_rigid(g: Graph, d: int, trials: int = 3, seed: int = 0) -> 
     for _ in range(max(1, trials)):
         placement = [tuple(rng.randrange(-2**31, 2**31) for _ in range(d))
                      for _ in range(n)]
-        rows = rigidity_matrix(placement, g.edges, d)
+        columns = _rigidity_columns(placement, g.edges, d)
         p = _random_prime(rng)
-        if rank(rows, FieldSpec(p)) == target:
+        if sparse_rank(columns, d * n, FieldSpec(p)) == target:
             return True
-        if rank(rows, QQ) == target:
+        if sparse_rank(columns, d * n, QQ) == target:
             return True
     return False

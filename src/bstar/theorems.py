@@ -5,6 +5,14 @@ Each check returns a TheoremResult with a pass/fail verdict and the
 offending instances, if any.  `run_battery` runs the whole suite; checks
 marked builtin-only compare against expected verdicts of the named corpus
 and are skipped for user-supplied corpora.
+
+The checks that need the Betti number of a contrastar for every face (the
+surjectivity oracle and the facet shortcut probe) rank it in place with
+`contrastar_betti`, on the cells of the complex that do not contain the
+face, with the boundary maps of the contrastar itself and no projection
+of top cycles.  `check_excision` and `check_counterexample_fidelity` still
+build contrastars with `contrastar`, as the battery's end-to-end check of
+that construction and of `relative_betti`'s label matching.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ from .constructions import (EarDecomposition, corpus, cross_polytope, example_2_
                             example_2_10_iii, from_facets, named, path, product,
                             simplex_boundary, stacked_sphere, torus7,
                             verify_ear_decomposition)
-from .homology import betti, betti_at, relative_betti, relative_surjectivity
+from .homology import (betti, betti_at, contrastar_betti, relative_betti,
+                       relative_surjectivity)
 from .linalg import GF2, QQ
 from .properties import (_deletion_sweep, is_buchsbaum, is_buchsbaum_star,
                          is_cohen_macaulay, is_doubly_buchsbaum, is_homology_manifold,
@@ -166,15 +175,16 @@ def check_buchsbaum_star_implications(entries, fields) -> TheoremResult:
 def check_surjectivity_oracle(entries, fields) -> TheoremResult:
     """The Buchsbaum* decider, which projects top cycles, agrees with two
     independent computations: the contrastar Betti numbers themselves,
-    and the relative-homology surjectivity criterion over all nested
-    pairs of nonempty faces."""
+    ranked on the boundary maps of each contrastar's cells in the complex
+    (`contrastar_betti`), and the relative-homology surjectivity criterion
+    over all nested pairs of nonempty faces."""
     r = TheoremResult("contrastar_surjectivity_oracle", True)
     for name, c in entries:
         for f in fields:
             direct = bool(is_buchsbaum_star(c, f))
             target = betti_at(c, f, c.dim - 1)
             oracle = bool(is_buchsbaum(c, f)) and all(
-                betti_at(contrastar(c, t), f, c.dim - 1) == target
+                contrastar_betti(c, t, f, c.dim - 1) == target
                 and all(relative_surjectivity(c, s, t, f)
                         for k in range(1, len(t) + 1) for s in combinations(t, k))
                 for d in range(c.dim + 1) for t in c.faces(d))
@@ -490,7 +500,8 @@ def check_excision(entries, fields) -> TheoremResult:
 
 def check_facet_shortcut_probe(entries, fields) -> TheoremResult:
     """Record (never fail) whether checking only facet contrastars would
-    have sufficed for the Buchsbaum* decision on this corpus."""
+    have sufficed for the Buchsbaum* decision on this corpus; their Betti
+    numbers are ranked in place, as in `check_surjectivity_oracle`."""
     r = TheoremResult("facet_contrastar_shortcut_probe", True)
     disagreements = []
     for name, c in entries:
@@ -500,7 +511,7 @@ def check_facet_shortcut_probe(entries, fields) -> TheoremResult:
             full = bool(is_buchsbaum_star(c, f))
             target = betti_at(c, f, c.dim - 1)
             facet_only = all(
-                betti_at(contrastar(c, fc), f, c.dim - 1) == target
+                contrastar_betti(c, fc, f, c.dim - 1) == target
                 for fc in c.faces(c.dim))
             if full != facet_only:
                 disagreements.append(f"{name} over {f}")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,23 @@ def test_verify_empty_corpus(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", str(tmp_path))
     assert code == 2 and out == ""
     assert f"error: no complex files in {tmp_path}" in err
+
+
+EDGE_CORPUS = {"point.json": [["a"]], "triangle.json": [["a", "b", "c"]],
+               "points3.json": [["a"], ["b"], ["c"]], "edge_point.json": [["a", "b"], ["c"]]}
+
+
+def test_verify_edge_case_corpus(capsys, tmp_path):
+    """One vertex, whose contrastar is {∅} with beta_{-1} = 1, a filled
+    triangle, three points and an edge plus a point: every check passes,
+    and the report is the one recorded in tests/data/verify_edge_cases.json."""
+    for name, facets in EDGE_CORPUS.items():
+        (tmp_path / name).write_text(json.dumps({"facets": facets}))
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path))
+    data = json.loads(out)
+    assert code == 0 and data["all_passed"] is True
+    golden = Path(__file__).parent / "data" / "verify_edge_cases.json"
+    assert data == json.loads(golden.read_text(encoding="utf-8"))
 
 
 def test_verify_builtin(capsys):

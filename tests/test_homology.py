@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from bstar.complexes import contrastar, deletion, from_facets, join, skeleton
 from bstar.constructions import (cross_polytope, example_2_10_iii, path, rp2_6,
                                  simplex, simplex_boundary, torus7)
-from bstar.homology import (betti, betti_at, inclusion_induced_is_zero,
+from bstar.homology import (betti, betti_at, contrastar_betti, inclusion_induced_is_zero,
                             reduced_euler_characteristic, relative_betti,
                             relative_surjectivity, top_projection_surjective,
-                            _boundary, _embedded_face_set, _relative_betti)
+                            _boundary, _embedded_face_set, _kept_betti)
 from bstar.linalg import GF2, QQ, FieldSpec
 from bstar import clear_caches, homology, linalg
 from oracles import (betti_by_full_ranks, betti_numbers, pair_homology,
@@ -92,8 +92,29 @@ def test_relative_betti_matches_full_ranks(c, k):
         excluded = _embedded_face_set(a, c)
         for f in FIELDS:
             for i in range(-1, c.dim + 2):
-                assert (_relative_betti(c, excluded, f, i)
+                assert (_kept_betti(c, lambda m: m not in excluded, f, i)
                         == relative_betti_by_full_ranks(c, excluded, f, i))
+
+
+@given(complexes_up_to_7_vertices())
+@example(from_facets([[0]]))  # the contrastar of its one vertex is {∅}
+@example(torus7())
+@example(rp2_6())
+@settings(max_examples=150, deadline=None)
+def test_contrastar_betti_matches_rebuilt_contrastar(c):
+    for d in range(c.dim + 1):
+        for t in c.faces(d):
+            cost = contrastar(c, t)
+            for f in FIELDS:
+                for i in range(-1, c.dim + 1):
+                    assert contrastar_betti(c, t, f, i) == betti(cost, f).at(i)
+
+
+def test_contrastar_betti_refuses_what_contrastar_refuses(torus):
+    with pytest.raises(ValueError, match="empty face"):
+        contrastar_betti(torus, [], QQ, 1)
+    with pytest.raises(ValueError, match="not a face"):
+        contrastar_betti(from_facets([[0], [1]]), [0, 1], QQ, 0)
 
 
 def test_betti_hands_reduce_only_the_uncleared_columns(monkeypatch):

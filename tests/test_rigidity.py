@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from bstar import rigidity
 from bstar.constructions import cross_polytope, path, simplex_boundary
-from bstar.linalg import rank
-from bstar.rigidity import (Graph, graph_of, is_generically_d_rigid,
+from bstar.linalg import GF2, QQ, FieldSpec, rank, sparse_rank
+from bstar.rigidity import (Graph, _rigidity_columns, graph_of, is_generically_d_rigid,
                             rigidity_matrix, vertex_connectivity)
 from oracles import connectivity_by_cuts
 
@@ -94,11 +94,11 @@ def test_rigidity_flexible_with_enough_edges(monkeypatch):
     # target rank modulo p and over Q before the verdict is False
     fields = []
 
-    def counting_rank(rows, field):
+    def counting_rank(columns, nrows, field):
         fields.append(field.p is None)
-        return rank(rows, field)
+        return sparse_rank(columns, nrows, field)
 
-    monkeypatch.setattr(rigidity, "rank", counting_rank)
+    monkeypatch.setattr(rigidity, "sparse_rank", counting_rank)
     g = Graph(6, frozenset([*itertools.combinations(range(4), 2), (3, 4), (3, 5), (4, 5)]))
     assert len(g.edges) == 2 * g.n - 3
     assert not is_generically_d_rigid(g, 2)
@@ -140,3 +140,16 @@ def test_rigidity_matrix_shape():
     rows = rigidity_matrix([(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 2)], 2)
     assert len(rows) == 2 and len(rows[0]) == 6
     assert rows[0][:2] == [-1, 0] and rows[0][2:4] == [1, 0]
+
+
+def test_rigidity_columns_are_the_transposed_matrix():
+    # the decider ranks one sparse column per edge (2d entries); the dense
+    # rows of `rigidity_matrix` have the same rank over every field
+    g = graph_of(cross_polytope(3))
+    placement = [(3, -1, 4), (1, 5, -9), (2, 6, 5), (-3, 8, 7), (9, 7, -2), (5, 2, 3)]
+    columns = _rigidity_columns(placement, g.edges, 3)
+    rows = rigidity_matrix(placement, g.edges, 3)
+    assert all(len(col) == 6 for col in columns)
+    assert [{i: x for i, x in enumerate(row) if x} for row in rows] == columns
+    for f in (QQ, GF2, FieldSpec(7)):
+        assert sparse_rank(columns, 3 * g.n, f) == rank(rows, f)

@@ -1,7 +1,7 @@
 import functools
 
-from bstar import theorems
-from bstar.constructions import cross_polytope
+from bstar import clear_caches, homology, theorems
+from bstar.constructions import corpus, cross_polytope
 
 BUILTIN_ONLY_CHECKS = {"check_counterexample_fidelity", "check_orientability_dichotomy",
                        "check_ear_verifier", "check_m_hierarchy",
@@ -25,3 +25,22 @@ def test_battery_skips_builtin_only_checks_on_user_corpus(monkeypatch):
     assert called == expected
     assert len(results) == len(expected)
     assert all(res.passed for res in results)
+
+
+def test_contrastar_checks_rank_in_place(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a contrastar was built")
+
+    entries = list(corpus())
+    monkeypatch.setattr(theorems, "contrastar", refuse)
+    assert theorems.check_surjectivity_oracle(entries, theorems.DEFAULT_FIELDS).passed
+    probe = theorems.check_facet_shortcut_probe(entries, theorems.DEFAULT_FIELDS)
+    assert probe.passed and probe.details == [
+        "facet-only shortcut is NOT sound; differs on: "
+        "example_2_10_i over q, example_2_10_i over gf:2"]
+    monkeypatch.undo()
+    # with a contrastar rebuilt for every face, the shape table held 672
+    # shapes after the battery on this corpus; ranked in place, 197
+    clear_caches()
+    assert all(res.passed for res in theorems.run_battery(entries))
+    assert len(homology._shapes) < 672
