@@ -293,16 +293,12 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
     if not pieces:
         raise ValueError("need at least one piece")
     d = ambient.dim
-    ambient_faces = {0}
-    for dd in range(0, d + 1):
-        ambient_faces |= set(ambient.face_masks(dd))
     piece_faces = [_embedded_face_set(p, ambient) for p in pieces]
-    union_ok = set().union(*piece_faces) == ambient_faces
+    union_ok = set().union(*piece_faces) == _embedded_face_set(ambient, ambient)
 
     base = pieces[0]
-    base_rep = is_homology_manifold(base, field) if base.is_pure \
-        else None
-    if base_rep is None or not base_rep.manifold or not base_rep.closed:
+    base_rep = is_homology_manifold(base, field)
+    if not base_rep.manifold or not base_rep.closed:
         base_ok, base_detail = False, "not a closed homology manifold"
     elif base.dim != d:
         base_ok, base_detail = False, "wrong dimension"
@@ -316,12 +312,12 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
     prior_faces = set(piece_faces[0])
     for k, (piece, faces) in enumerate(zip(pieces[1:], piece_faces[1:]), start=2):
         ear: dict = {"piece": k}
-        rep = is_homology_manifold(piece, field) if piece.is_pure else None
+        rep = is_homology_manifold(piece, field)
         conn = len(predicates(piece).components) == 1
         ear["manifold_with_boundary"] = bool(
-            rep and rep.manifold and not rep.closed and rep.orientable
+            rep.manifold and not rep.closed and rep.orientable
             and conn and piece.dim == d)
-        boundary = rep.boundary if rep and rep.manifold and not rep.closed else None
+        boundary = rep.boundary  # None unless a manifold with boundary
         if boundary is not None:
             brep = is_homology_manifold(boundary, field)
             bconn = len(predicates(boundary).components) == 1

@@ -3,15 +3,15 @@ the paper's criteria on the parts of `homology`.
 
 Cohen-Macaulay: no link (the whole complex included) has reduced
 homology below its top dimension.  Buchsbaum: pure, and the same for the
-links of nonempty faces.  Homology manifold: pure, with links passing it
-with top Betti 1 (sphere) or 0 (ball), the ball-link faces forming a
-subcomplex (the boundary).  All three read `_link_walk`, which
-builds each nonempty-face link once per shape and field and stops at
-the first failing one, where a walk per decider stops, so witnesses stay.
-Gorenstein*: every link is a homology sphere, that is, a closed homology
-manifold with the homology of a sphere (Gorenstein* implies CM, hence
-pure; in dimension 0 the report is closed and β = (0, 1) is two points;
-{∅} passes both).
+links of nonempty faces.  Homology manifold: pure (a non-pure complex is
+no manifold, witness "not pure"), with links passing it with top Betti 1
+(sphere) or 0 (ball), the ball-link faces forming a subcomplex (the
+boundary).  Gorenstein*: every link, the whole complex included, is a
+homology sphere of its own dimension, that is, CM with top Betti 1
+throughout; CM implies pure, and in dimension 0 β = (0, 1) is two points,
+while {∅} passes.  All four read `_link_walk`, which builds each
+nonempty-face link once per shape and field and stops at the first
+failing one, where a walk per decider stops, so witnesses stay.
 
 Buchsbaum*: removing the open star of any nonempty face F keeps the
 reduced Betti number one below the top dimension d.  For a Buchsbaum
@@ -281,13 +281,14 @@ def is_m_buchsbaum_star(c: Complex, f: FieldSpec, m: int) -> bool:
 
 
 def is_gorenstein_star(c: Complex, f: FieldSpec) -> bool:
-    """Every link (including the whole complex) has the reduced homology of
-    a sphere of its own dimension: a closed homology manifold with the
-    homology of a sphere (see the module docstring)."""
+    """Every link, the whole complex included, has the reduced homology of
+    a sphere of its own dimension: the whole complex has β = (0, ..., 0, 1),
+    the link walk passes, and every link it passed has top Betti number 1.
+    That makes c CM, hence pure (see the module docstring)."""
     if _link_violation(betti(c, f).betti, 1):
         return False
-    report = _manifold_report(c, f)
-    return report.manifold and report.closed
+    tops, _, why = _link_walk(c, f)
+    return why is None and all(top == 1 for top in tops)
 
 
 @dataclass(frozen=True)
@@ -299,7 +300,21 @@ class ManifoldReport:
     witness: str | None = None
 
 
-def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
+def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
+    """Closed-or-with-boundary homology manifold recognition, for every
+    complex: a non-pure one is no manifold, with witness "not pure".
+
+    Closed: every nonempty-face link is a homology sphere of complementary
+    dimension.  With boundary: links may instead be homology balls (all
+    reduced Betti numbers zero), and the faces with ball links must form
+    a subcomplex, the boundary.  Orientability is top Betti = number of
+    components (relative to the boundary if nonempty).
+
+    Each link is tested once, not recursively as a manifold: a link of
+    lk F is a link of c, lk_{lk F}(G) = lk(F ∪ G), so the loop over all
+    faces decides it, and if the ball-link faces of c form a subcomplex,
+    so do those of every lk F.
+    """
     if not c.is_pure:
         return ManifoldReport(False, False, None, False, "not pure")
     d = c.dim
@@ -334,25 +349,6 @@ def _manifold_report(c: Complex, f: FieldSpec) -> ManifoldReport:
     # H_d of the pair (c, boundary), on the nonempty faces off the boundary
     orientable = _kept_betti(c, lambda m: m and m not in boundary_faces, f, d) == ncomp
     return ManifoldReport(True, False, _rebuild(boundary_faces, c), orientable, ball_note)
-
-
-def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
-    """Closed-or-with-boundary homology manifold recognition.
-
-    Closed: every nonempty-face link is a homology sphere of complementary
-    dimension.  With boundary: links may instead be homology balls (all
-    reduced Betti numbers zero), and the faces with ball links must form
-    a subcomplex, the boundary.  Orientability is top Betti = number of
-    components (relative to the boundary if nonempty).
-
-    Each link is tested once, not recursively as a manifold: a link of
-    lk F is a link of c, lk_{lk F}(G) = lk(F ∪ G), so the loop over all
-    faces decides it, and if the ball-link faces of c form a subcomplex,
-    so do those of every lk F.
-    """
-    if not c.is_pure:
-        raise ValueError("homology manifold recognition requires a pure complex")
-    return _manifold_report(c, f)
 
 
 @dataclass
@@ -395,7 +391,7 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
     run("doubly_cohen_macaulay", lambda: is_m_cohen_macaulay(c, f, 2))
     run("doubly_buchsbaum", lambda: is_doubly_buchsbaum(c, f))
     run("gorenstein*", lambda: is_gorenstein_star(c, f))
-    mrep = _manifold_report(c, f)  # "not pure" for a non-pure complex
+    mrep = is_homology_manifold(c, f)
     report.verdicts["homology_manifold"] = mrep.manifold
     report.verdicts["orientable_manifold"] = mrep.manifold and mrep.orientable
     if mrep.witness:

@@ -9,9 +9,9 @@ numbers alone, through the long exact sequence of the pair, where the
 package reduces each cycle of a against the boundaries of c.  The
 oracles that take a `Complex` use the package's public API and helpers:
 `link_homology_violation` walks the links anew for each decider, where
-the package walks them once per shape and field and CM, Buchsbaum and
-the manifold report read that walk (Gorenstein* reads the manifold
-report); `buchsbaum_star_by_contrastars` decides by the definition,
+the package walks them once per shape and field and CM, Buchsbaum,
+Gorenstein* and the manifold recogniser read that walk;
+`buchsbaum_star_by_contrastars` decides by the definition,
 rebuilding every contrastar, where the package projects top cycles; and
 `manifold_report_by_recursion` recognises a manifold with boundary by
 deciding each ball-like link as a manifold in turn, where the package

@@ -160,6 +160,18 @@ def test_check_reads_text_format(capsys, tmp_path):
     assert json.loads(out)["complex"]["f_vector"] == [1, 3, 3]
 
 
+def test_check_non_pure_is_no_manifold(capsys, tmp_path):
+    p = tmp_path / "whisker.json"
+    p.write_text(json.dumps({"facets": [["a", "b", "c"], ["c", "d"]]}))
+    code, out, _ = run_cli(capsys, "check", str(p))
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["field"] for r in reports] == ["q", "gf:2"]
+    for r in reports:
+        assert r["verdicts"]["homology_manifold"] is False
+        assert r["witnesses"]["homology_manifold"] == "not pure"
+
+
 def test_check_output_stable(capsys):
     _, out1, _ = run_cli(capsys, "check", "named:torus7", "--field", "q")
     _, out2, _ = run_cli(capsys, "check", "named:torus7", "--field", "q")

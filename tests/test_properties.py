@@ -16,11 +16,11 @@ from bstar.constructions import (bowtie, corpus, cross_polytope, cycle, example_
                                  example_2_10_iii, simplex, simplex_boundary, torus7)
 from bstar.homology import betti
 from bstar.linalg import GF2, QQ, FieldSpec
-from bstar.properties import (is_buchsbaum, is_buchsbaum_star, is_cohen_macaulay,
-                              is_doubly_buchsbaum, is_gorenstein_star,
-                              is_homology_manifold, is_m_buchsbaum,
-                              is_m_buchsbaum_star, is_m_cohen_macaulay,
-                              property_report)
+from bstar.properties import (ManifoldReport, is_buchsbaum, is_buchsbaum_star,
+                              is_cohen_macaulay, is_doubly_buchsbaum,
+                              is_gorenstein_star, is_homology_manifold,
+                              is_m_buchsbaum, is_m_buchsbaum_star,
+                              is_m_cohen_macaulay, property_report)
 
 TWO_EDGES = from_facets([(0, 1), (2, 3)])
 
@@ -157,6 +157,8 @@ EDGE_CASES = {
     "two_spheres": dict(corpus())["two_spheres"],
     "star_graph": from_facets([("p", "a"), ("p", "b"), ("p", "c"), ("p", "d")]),
     "only_empty_face": deletion(simplex(0), [0]),  # the complex {∅}
+    "triangle_with_whisker": from_facets([(0, 1, 2), (2, 3)]),  # not pure
+    "edge_and_point": from_facets([(0, 1), (2,)]),  # not pure
 }
 
 
@@ -193,6 +195,30 @@ def test_sphere_with_fin_is_cm_but_not_gorenstein_star():
     assert not is_gorenstein_star(SPHERE_WITH_FIN, QQ)
     rep = is_homology_manifold(SPHERE_WITH_FIN, QQ)
     assert not rep.manifold and "neither" in rep.witness
+
+
+@given(st.one_of(complexes_up_to_7_vertices(), st.sampled_from(list(EDGE_CASES.values()))))
+@example(SPHERE_WITH_FIN)  # the walk passes, but one edge link has top Betti 2
+@settings(max_examples=150, deadline=None)
+def test_gorenstein_star_is_a_closed_manifold_with_sphere_homology(c):
+    # Gorenstein* reads the link walk, not the manifold report
+    for f in (QQ, GF2, FieldSpec(3)):
+        sphere = betti(c, f).betti == (0,) * (c.dim + 1) + (1,)
+        assert is_gorenstein_star(c, f) == (sphere and is_homology_manifold(c, f).closed)
+
+
+def test_property_report_builds_one_manifold_report(monkeypatch):
+    built = []
+
+    def counting_report(*args):
+        built.append(args)
+        return ManifoldReport(*args)
+
+    clear_caches()
+    monkeypatch.setattr(properties, "ManifoldReport", counting_report)
+    rep = property_report(cross_polytope(3), QQ)
+    assert rep.verdicts["gorenstein*"] and rep.verdicts["homology_manifold"]
+    assert len(built) == 1
 
 
 def test_property_report_builds_each_link_once(monkeypatch):
@@ -324,8 +350,9 @@ def test_homology_manifold(torus, projective_plane, triangle):
     assert rep_t.boundary.f_vector() == (1, 3, 3)
 
     assert not is_homology_manifold(bowtie(), QQ).manifold
-    with pytest.raises(ValueError):
-        is_homology_manifold(from_facets([(0, 1, 2), (2, 3)]), QQ)
+    # a non-pure complex gets a verdict, as from is_buchsbaum
+    assert is_homology_manifold(from_facets([(0, 1, 2), (2, 3)]), QQ) == \
+        ManifoldReport(False, False, None, False, "not pure")
 
 
 def test_homology_manifold_ball(octahedron):
