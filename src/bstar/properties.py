@@ -21,8 +21,28 @@ of the pair (Δ, cost F) gives
     β_{d-1}(cost F) = β_{d-1}(Δ) + dim coker(H_d(Δ) -> H_d(Δ, cost F)),
 
 so the top cycles of Δ must project onto the top cycles of the star of
-F: one global top-cycle basis plus a small kernel per star.  All
-deciders are pure.  The link walk and projection sweep are memoised by shape
+F: one global top-cycle basis plus a small kernel per star.
+
+On a closed homology manifold of dimension d ≥ 1 the paper answers
+without the sweep: it is Buchsbaum* exactly when it is orientable over
+the field.  There H_d(Δ, cost F) ≅ H̃_{d-|F|}(lk F) is one-dimensional,
+and each component, being strongly connected (its ridges lie in two
+facets and its links of dimension ≥ 1 are connected), has top Betti
+number at most 1, with a cycle that is nonzero on every facet when it is
+1.  So H_d(Δ) projects onto every star exactly when β_d(Δ) is the number
+of components, β_0(Δ) + 1.  `is_buchsbaum_star` reads both facts off the
+link walk (`_links_are_spheres`) and the Betti table, and sweeps only
+the other complexes; a non-orientable manifold is swept, so its witness
+names a face.  Dimension 0 is left to the sweep, and must be: there
+every complex is a closed manifold, but one point is not Buchsbaum* (its
+contrastar {∅} has β_{-1} = 1), while two or more points are.  The count
+never holds there, as β_0 is the number of points less one, so the test
+needs no dimension guard.  `verify`'s
+`check_orientability_dichotomy` compares the manifold report with the
+sweep called directly, and `check_surjectivity_oracle`, which ranks the
+contrastar Betti numbers, checks every Buchsbaum* verdict independently.
+
+All deciders are pure.  The link walk and projection sweep are memoised by shape
 (`clear_caches` empties the memo), so the deciders add the labels of faces.
 
 The m-fold properties ask the same of every deletion of fewer than m
@@ -46,6 +66,11 @@ same ridge condition holds, and H_d(Δ) projects onto every
 H_d(Δ, cost F): that is the Buchsbaum* test (CM is pure and Buchsbaum),
 so doubly CM reads the Buchsbaum* verdict and doubly CM ⇒ Buchsbaum*
 holds by construction (`verify` checks it against the sweep below).
+Buchsbaum* implies doubly Buchsbaum (the paper), so doubly Buchsbaum
+holds when the Buchsbaum* verdict does and runs the pair projections
+(`_pair_projections`) only when it fails; `property_report`'s check of
+buchsbaum* ⇒ doubly_buchsbaum also holds by construction, and `verify`'s
+`check_buchsbaum_star_implications` asks the pair projections instead.
 
 For m ≥ 3, and for m-fold Buchsbaum*, a sweep builds every deletion
 and decides each one in full.
@@ -145,6 +170,14 @@ def _link_walk(c: Complex, f: FieldSpec):
     return tuple(tops), None, None
 
 
+def _links_are_spheres(c: Complex, f: FieldSpec) -> bool:
+    """Every nonempty-face link is a homology sphere of its own dimension:
+    the link walk passes and every link it passed has top Betti number 1.
+    For a pure c of dimension ≥ 1 that makes c a closed homology manifold."""
+    tops, _, why = _link_walk(c, f)
+    return why is None and tops.count(1) == len(tops)
+
+
 def is_cohen_macaulay(c: Complex, f: FieldSpec) -> Verdict:
     """Link homology vanishes below top dimension, for every face."""
     why = _link_violation(betti(c, f).betti, None)
@@ -218,18 +251,26 @@ def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
     return Verdict(why is None, why and f"link of {c.describe_face(face)} {why}")
 
 
+def _pair_projections(c: Complex, f: FieldSpec) -> bool:
+    """Doubly Buchsbaum by the projection criterion of the module
+    docstring: Buchsbaum, ridges shared, and H_d(c, cost G) projects onto
+    H_d(c, cost (G ∪ v)) for every nonempty face G and vertex v of lk G."""
+    return (bool(is_buchsbaum(c, f)) and _ridges_shared(c)
+            and all(_projection_cokernel(c, f, t ^ bit, t) == 0
+                    for d in range(1, c.dim + 1) for t in c.face_masks(d)
+                    for bit in _bits(t)))
+
+
 def is_m_buchsbaum(c: Complex, f: FieldSpec, m: int) -> bool:
     """Deletions of fewer than m vertices stay Buchsbaum of the same
-    dimension (m=2 decided by the pair projections of the module
-    docstring)."""
+    dimension.  m=2 holds when c is Buchsbaum* (the paper: Buchsbaum*
+    implies doubly Buchsbaum) and is otherwise decided by the pair
+    projections of the module docstring."""
     if m < 1:
         raise ValueError("m must be at least 1")
     if m == 2:
         _guard_subsets(c, m)
-        return (bool(is_buchsbaum(c, f)) and _ridges_shared(c)
-                and all(_projection_cokernel(c, f, t ^ bit, t) == 0
-                        for d in range(1, c.dim + 1) for t in c.face_masks(d)
-                        for bit in _bits(t)))
+        return bool(is_buchsbaum_star(c, f)) or _pair_projections(c, f)
     return _deletion_sweep(c, f, m, is_buchsbaum)
 
 
@@ -253,14 +294,19 @@ def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
     """Buchsbaum, and removing the open star of any nonempty face keeps the
     reduced Betti number one below top unchanged.
 
-    Decided by the projection criterion (module docstring); the witness
-    gives the contrastar Betti number as β_{d-1}(c) + dim coker.  Every
-    nonempty face is checked; restricting to facets is not sound
+    A closed homology manifold of dimension d ≥ 1 that is orientable over
+    f (one top cycle per component) is Buchsbaum* without a sweep (module
+    docstring; in dimension 0 the count fails, so points are swept).
+    Otherwise it is decided by the projection criterion; the
+    witness gives the contrastar Betti number as β_{d-1}(c) + dim coker.
+    Every nonempty face is checked; restricting to facets is not sound
     (one-dimensional counterexamples fail only at a vertex).
     """
     b = is_buchsbaum(c, f)
     if not b:
         return Verdict(False, f"not Buchsbaum: {b.witness}")
+    if _links_are_spheres(c, f) and betti_at(c, f, c.dim) == betti_at(c, f, 0) + 1:
+        return Verdict(True)
     violation = _projection_violation(c, f)
     if violation is None:
         return Verdict(True)
@@ -282,13 +328,10 @@ def is_m_buchsbaum_star(c: Complex, f: FieldSpec, m: int) -> bool:
 
 def is_gorenstein_star(c: Complex, f: FieldSpec) -> bool:
     """Every link, the whole complex included, has the reduced homology of
-    a sphere of its own dimension: the whole complex has β = (0, ..., 0, 1),
-    the link walk passes, and every link it passed has top Betti number 1.
-    That makes c CM, hence pure (see the module docstring)."""
-    if _link_violation(betti(c, f).betti, 1):
-        return False
-    tops, _, why = _link_walk(c, f)
-    return why is None and all(top == 1 for top in tops)
+    a sphere of its own dimension: the whole complex has β = (0, ..., 0, 1)
+    and every nonempty-face link is a sphere (`_links_are_spheres`).  That
+    makes c CM, hence pure (see the module docstring)."""
+    return not _link_violation(betti(c, f).betti, 1) and _links_are_spheres(c, f)
 
 
 @dataclass(frozen=True)
@@ -320,6 +363,8 @@ def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
     d = c.dim
     if d == 0:
         return ManifoldReport(True, True, None, True)
+    if _links_are_spheres(c, f):
+        return ManifoldReport(True, True, None, betti_at(c, f, d) == betti_at(c, f, 0) + 1)
     # a passed link is a sphere (top 1), a ball (top 0) or neither; the failed one is neither
     tops, failed, _ = _link_walk(c, f)
     boundary_faces: set[int] = set()
@@ -339,13 +384,11 @@ def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
             f"link of {c.describe_face(failed)} is neither a homology "
             f"sphere nor a homology ball",
         )
-    ncomp = betti_at(c, f, 0) + 1  # over any field, as c is nonempty
-    if not boundary_faces:
-        return ManifoldReport(True, True, None, betti_at(c, f, d) == ncomp)
     if any(m ^ bit and m ^ bit not in boundary_faces
            for m in boundary_faces for bit in _bits(m)):
         return ManifoldReport(False, False, None, False,
                               "boundary faces do not form a subcomplex")
+    ncomp = betti_at(c, f, 0) + 1  # over any field, as c is nonempty
     # H_d of the pair (c, boundary), on the nonempty faces off the boundary
     orientable = _kept_betti(c, lambda m: m and m not in boundary_faces, f, d) == ncomp
     return ManifoldReport(True, False, _rebuild(boundary_faces, c), orientable, ball_note)

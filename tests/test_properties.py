@@ -13,7 +13,8 @@ from strategies import complexes_up_to_7_vertices
 from bstar import clear_caches, homology, properties
 from bstar.complexes import cone, deletion, from_facets, link, skeleton
 from bstar.constructions import (bowtie, corpus, cross_polytope, cycle, example_2_10_i,
-                                 example_2_10_iii, simplex, simplex_boundary, torus7)
+                                 example_2_10_iii, rp2_6, simplex, simplex_boundary,
+                                 torus7)
 from bstar.homology import betti
 from bstar.linalg import GF2, QQ, FieldSpec
 from bstar.properties import (ManifoldReport, is_buchsbaum, is_buchsbaum_star,
@@ -70,7 +71,9 @@ def test_buchsbaum_star(octahedron, projective_plane):
     assert not v and v.witness.startswith("vertex p")
     assert is_buchsbaum_star(octahedron, QQ)
     assert is_buchsbaum_star(projective_plane, GF2)
-    assert not is_buchsbaum_star(projective_plane, QQ)
+    # a non-orientable closed manifold is still swept, so its witness names a face
+    v = is_buchsbaum_star(projective_plane, QQ)
+    assert (v.ok, v.witness) == (False, "vertex 1: contrastar Betti 1 != 0 in degree 1")
     assert not is_buchsbaum_star(example_2_10_iii(), QQ)
     assert not is_buchsbaum_star(example_2_10_iii(), GF2)
 
@@ -131,22 +134,43 @@ def test_property_report_builds_no_deletion(monkeypatch):
 
 
 def test_property_report_projects_once_per_face(monkeypatch):
-    # doubly CM reads the Buchsbaum* verdict instead of repeating its sweep
-    absolute = []
+    # doubly CM and doubly Buchsbaum read the Buchsbaum* verdict instead of
+    # repeating its sweep; a 2-skeleton is Buchsbaum* but no manifold, so
+    # the sweep runs once, one absolute projection per nonempty face
+    absolute, pairs = [], []
 
     def counting_cokernel(c, f, sm, tm):
-        if sm == 0:
-            absolute.append(tm)
+        (pairs if sm else absolute).append(tm)
         return projection_cokernel(c, f, sm, tm)
 
     projection_cokernel = properties._projection_cokernel
     clear_caches()
     monkeypatch.setattr(properties, "_projection_cokernel", counting_cokernel)
-    c = cross_polytope(3)
+    c = skeleton(cross_polytope(4), 2)
     rep = property_report(c, QQ)
     assert rep.verdicts["buchsbaum*"] and rep.verdicts["doubly_cohen_macaulay"]
+    assert rep.verdicts["doubly_buchsbaum"] and not rep.verdicts["homology_manifold"]
     assert sorted(absolute) == sorted(c.mask(t) for d in range(c.dim + 1) for t in c.faces(d))
-    assert len(absolute) == 26
+    assert len(absolute) == 8 + 24 + 32
+    assert pairs == []
+
+
+@pytest.mark.parametrize("c", [cross_polytope(3), torus7()], ids=["octahedron", "torus7"])
+def test_closed_orientable_manifold_makes_no_projection(monkeypatch, c):
+    # Buchsbaum* is read off the dichotomy, doubly Buchsbaum off Buchsbaum*
+    calls = []
+
+    def counting_cokernel(*args):
+        calls.append(args)
+        return projection_cokernel(*args)
+
+    projection_cokernel = properties._projection_cokernel
+    clear_caches()
+    monkeypatch.setattr(properties, "_projection_cokernel", counting_cokernel)
+    rep = property_report(c, QQ)
+    assert rep.verdicts["buchsbaum*"] and rep.verdicts["doubly_buchsbaum"]
+    assert rep.verdicts["orientable_manifold"]
+    assert calls == []
 
 
 EDGE_CASES = {
@@ -165,6 +189,11 @@ EDGE_CASES = {
 # a 2-sphere with a triangle glued along an edge: CM with the homology of a
 # sphere, but the link of that edge is three points, so not Gorenstein*
 SPHERE_WITH_FIN = from_facets([*simplex_boundary(3).facets, (0, 1, 4)])
+
+# disconnected closed manifolds: orientable over a field exactly when every
+# component is, so the top Betti number must count the components
+TORUS_AND_RP2 = from_facets([*torus7().facets, *(tuple(v + 7 for v in t) for t in rp2_6().facets)])
+TWO_CYCLES = from_facets([*cycle(3).facets, *(tuple(v + 3 for v in t) for t in cycle(4).facets)])
 
 
 def assert_link_deciders_match_reference(c):
@@ -205,6 +234,24 @@ def test_gorenstein_star_is_a_closed_manifold_with_sphere_homology(c):
     for f in (QQ, GF2, FieldSpec(3)):
         sphere = betti(c, f).betti == (0,) * (c.dim + 1) + (1,)
         assert is_gorenstein_star(c, f) == (sphere and is_homology_manifold(c, f).closed)
+
+
+@given(st.one_of(complexes_up_to_7_vertices(), st.sampled_from(list(EDGE_CASES.values()))))
+@example(cross_polytope(3))
+@example(torus7())
+@example(rp2_6())  # orientable over GF(2) only
+@example(TORUS_AND_RP2)  # one component is not orientable over Q or GF(3)
+@example(TWO_CYCLES)
+@example(dict(corpus())["two_spheres"])
+@example(EDGE_CASES["simplex0"])  # one point: a closed manifold, not Buchsbaum*
+@example(EDGE_CASES["two_points"])
+@example(EDGE_CASES["only_empty_face"])
+@settings(max_examples=150, deadline=None)
+def test_manifold_shortcuts_match_the_projection_sweeps(c):
+    for f in (QQ, GF2, FieldSpec(3)):
+        swept = bool(is_buchsbaum(c, f)) and properties._projection_violation(c, f) is None
+        assert is_buchsbaum_star(c, f).ok == swept
+        assert is_doubly_buchsbaum(c, f) == properties._pair_projections(c, f)
 
 
 def test_property_report_builds_one_manifold_report(monkeypatch):
