@@ -9,14 +9,14 @@ mechanically verifies the known implications between all of these on a
 built-in corpus.
 """
 
-from .complexes import (Complex, FaceCountError, cone, contrastar, deletion,
-                        from_facets, join, link, predicates, skeleton)
+from .complexes import (Complex, FaceCountError, components, cone, contrastar, deletion,
+                        from_facets, is_flag, join, link, skeleton)
 from .constructions import (corpus, cross_polytope, cycle, named, path, product,
                             simplex, simplex_boundary, stacked_sphere,
                             verify_ear_decomposition)
 from .homology import (BettiTable, betti, betti_at, contrastar_betti,
                        inclusion_induced_is_zero, relative_betti, relative_surjectivity)
-from .linalg import GF2, QQ, FieldSpec, in_column_space, nullspace_basis, rank
+from .linalg import GF2, QQ, FieldSpec
 from .properties import (ConsistencyError, PropertyReport, SubsetGuardError,
                          clear_caches, is_buchsbaum, is_buchsbaum_star,
                          is_cohen_macaulay, is_doubly_buchsbaum,

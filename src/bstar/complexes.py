@@ -10,8 +10,9 @@ every face is a bitmask int over the vertex set.
 
 Costs follow the faces, never the vertex subsets.  Purity
 (`Complex.is_pure`) compares the smallest and largest facet.  Flagness
-(`predicates`) checks that every clique of the 1-skeleton is a face by
+(`is_flag`) checks that every clique of the 1-skeleton is a face by
 extending each face with its common neighbours: O(faces x degree).
+`components` joins the vertices along the edges with a union-find.
 
 Serialization writes labels as strings, so `to_json` and `to_text`
 refuse a complex in which two vertices' labels print alike (1 and "1"),
@@ -28,7 +29,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable
 
@@ -42,8 +42,8 @@ __all__ = [
     "skeleton",
     "join",
     "cone",
-    "predicates",
-    "Predicates",
+    "is_flag",
+    "components",
     "parse",
     "to_json",
     "to_text",
@@ -355,15 +355,7 @@ def cone(c: Complex, apex_label: Hashable = "apex") -> Complex:
     return Complex(masks, c.n_vertices + 1, c.labels + (apex_label,))
 
 
-@dataclass(frozen=True)
-class Predicates:
-    is_pure: bool
-    is_flag: bool
-    components: tuple[Complex, ...]
-    graph_edges: tuple[tuple[int, int], ...]
-
-
-def _is_flag(c: Complex) -> bool:
+def is_flag(c: Complex) -> bool:
     """Every clique of the 1-skeleton is a face.
 
     A clique that is not a face contains a minimal non-face K with at
@@ -393,10 +385,14 @@ def _is_flag(c: Complex) -> bool:
     return True
 
 
-def predicates(c: Complex) -> Predicates:
-    """Purity, flagness, connected components, and the edge graph."""
-    edges = tuple(_tuple_of(m) for m in c._faces_by_dim.get(1, []))
+def components(c: Complex) -> tuple[Complex, ...]:
+    """The connected components of c, each rebuilt with the labels of c,
+    in the order of their smallest vertex.
 
+    {∅} has no vertex and so no component, though its reduced beta_0 + 1
+    is 1.  A caller that only counts the components of a nonempty complex
+    reads beta_0 + 1 over any field instead, from the memoised Betti table.
+    """
     parent = list(range(c.n_vertices))
 
     def find(x):
@@ -405,7 +401,7 @@ def predicates(c: Complex) -> Predicates:
             x = parent[x]
         return x
 
-    for a, b in edges:
+    for a, b in c.faces(1):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
@@ -416,8 +412,7 @@ def predicates(c: Complex) -> Predicates:
     for verts in sorted(groups.values()):
         vm = _mask_of(verts)
         comps.append(_rebuild([f for f in c._facet_masks if f & vm == f], c))
-
-    return Predicates(c.is_pure, _is_flag(c), tuple(comps), edges)
+    return tuple(comps)
 
 
 # -- file format ------------------------------------------------------

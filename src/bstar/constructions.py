@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import Complex, _tuple_of, cone, from_facets, predicates, to_json
-from .homology import _embedded_face_set, _nonbounding_cycle, first_nonbounding_cycle
+from .complexes import Complex, _tuple_of, cone, from_facets, to_json
+from .homology import _embedded_face_set, _nonbounding_cycle, betti_at, first_nonbounding_cycle
 from .linalg import QQ, FieldSpec
 from .properties import is_buchsbaum_star, is_homology_manifold
 
@@ -313,17 +313,16 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
     for k, (piece, faces) in enumerate(zip(pieces[1:], piece_faces[1:]), start=2):
         ear: dict = {"piece": k}
         rep = is_homology_manifold(piece, field)
-        conn = len(predicates(piece).components) == 1
+        # connected: reduced beta_0 is 0, over every field
         ear["manifold_with_boundary"] = bool(
             rep.manifold and not rep.closed and rep.orientable
-            and conn and piece.dim == d)
+            and betti_at(piece, field, 0) == 0 and piece.dim == d)
         boundary = rep.boundary  # None unless a manifold with boundary
         if boundary is not None:
             brep = is_homology_manifold(boundary, field)
-            bconn = len(predicates(boundary).components) == 1
             ear["boundary_ok"] = bool(
-                brep.manifold and brep.closed and brep.orientable and bconn
-                and boundary.dim == d - 1)
+                brep.manifold and brep.closed and brep.orientable
+                and betti_at(boundary, field, 0) == 0 and boundary.dim == d - 1)
         else:
             ear["boundary_ok"] = False
         bfaces = None if boundary is None else _embedded_face_set(boundary, ambient)

@@ -23,9 +23,7 @@ its entries.  Over GF(p) the entries are ints, taken mod p, or
 if p divides b).
 ``sparse_pivots``, ``sparse_rank``, ``sparse_nullspace`` and
 ``sparse_in_span`` take this format; they are the one entry point per
-operation.  ``rank``, ``nullspace_basis`` and ``in_column_space`` take
-dense matrices, sequences of equal-length rows, convert them to it and
-call them.
+operation.
 
 Pivot rows and clearing.  ``sparse_pivots`` gives the pivot rows of the
 reduced columns; the rank is their number.  They serve the clearing
@@ -37,10 +35,10 @@ which d maps to zero: a nonzero multiple of column r of d plus earlier
 columns of d.  So column r of d reduces to zero, and d has the rank of
 its columns that are not pivot rows of d', over every field.
 
-Every path refuses a matrix of more than ``set_max_cells`` rows x columns,
-counting the matrix it is handed (for a cleared boundary map, the columns
-that are left), and checks each kernel vector against the matrix before
-returning it.
+``_reduce`` refuses a matrix of more than ``set_max_cells`` rows x
+columns, counting the matrix it is handed (for a cleared boundary map,
+the columns that are left), and ``sparse_nullspace`` checks each kernel
+vector against the matrix before returning it.
 """
 
 from __future__ import annotations
@@ -55,9 +53,6 @@ __all__ = [
     "GF2",
     "LinalgGuardError",
     "is_prime",
-    "rank",
-    "nullspace_basis",
-    "in_column_space",
     "sparse_pivots",
     "sparse_rank",
     "sparse_nullspace",
@@ -117,10 +112,6 @@ class FieldSpec:
                 raise ValueError(f"field characteristic out of range: {self.p}")
             if not is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def is_rational(self) -> bool:
-        return self.p is None
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
@@ -267,50 +258,3 @@ def sparse_in_span(columns, nrows: int, vector: dict, field: FieldSpec) -> bool:
     """True iff the sparse column `vector` is a linear combination of `columns`."""
     free = _reduce([*columns, vector], nrows, field.p)[1]
     return bool(free) and free[-1][0] == len(columns)
-
-
-def _columns(matrix) -> list[dict]:
-    """The columns of a dense matrix in the sparse format; the guard is
-    checked first, as a dense matrix can take far less memory than its
-    columns."""
-    ncols = len(matrix[0]) if len(matrix) else 0
-    _check_cells(len(matrix), ncols)
-    columns: list[dict] = [{} for _ in range(ncols)]
-    for i, row in enumerate(matrix):
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        for j, x in enumerate(row):
-            if x:
-                columns[j][i] = x
-    return columns
-
-
-def rank(matrix, field: FieldSpec) -> int:
-    """Exact rank of `matrix` over `field`."""
-    return sparse_rank(_columns(matrix), len(matrix), field)
-
-
-def nullspace_basis(matrix, field: FieldSpec) -> list[list]:
-    """Basis of the right kernel of `matrix` over `field`.
-
-    Each returned vector is checked to satisfy matrix @ v = 0.
-    """
-    columns = _columns(matrix)
-    zero = Fraction(0) if field.is_rational else 0
-    basis = []
-    for vec in sparse_nullspace(columns, len(matrix), field):
-        v = [zero] * len(columns)
-        for j, x in vec.items():
-            v[j] = x
-        basis.append(v)
-    return basis
-
-
-def in_column_space(matrix, vector, field: FieldSpec) -> bool:
-    """True iff `vector` is a linear combination of the columns of `matrix`."""
-    columns = _columns(matrix)
-    nrows = len(matrix)
-    if len(vector) != nrows:
-        raise ValueError("vector length does not match row count")
-    target = {i: x for i, x in enumerate(vector) if x}
-    return sparse_in_span(columns, nrows, target, field)

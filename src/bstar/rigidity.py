@@ -5,11 +5,12 @@ max-flow on a vertex-split digraph, minimised over non-adjacent pairs
 (complete graphs are n-1 connected by convention).
 
 Rigidity in dimension d is decided by the rank of the bar-joint rigidity
-matrix at random integer placements, ranked as one sparse column per edge.  A placement certifying the maximal
-rank proves generic rigidity outright; sub-maximal modular rank is
-re-checked exactly over the rationals before a trial counts as evidence
-of flexibility, so only "flexible" verdicts carry (vanishing) error
-probability.
+matrix at random integer placements.  The matrix is only ever held as its
+transpose, one sparse column per edge (`_rigidity_columns`).  A
+placement certifying the maximal rank proves generic rigidity outright;
+sub-maximal modular rank is re-checked exactly over the rationals before
+a trial counts as evidence of flexibility, so only "flexible" verdicts
+carry (vanishing) error probability.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 from .complexes import Complex
 from .linalg import FieldSpec, QQ, is_prime, sparse_rank
 
-__all__ = ["Graph", "graph_of", "vertex_connectivity", "is_generically_d_rigid",
-           "rigidity_matrix"]
+__all__ = ["Graph", "graph_of", "vertex_connectivity", "is_generically_d_rigid"]
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ def vertex_connectivity(g: Graph) -> int:
 
 def _rigidity_columns(placement: list[tuple[int, ...]], edges, d: int) -> list[dict]:
     """The rows of the rigidity matrix as sparse columns (see `linalg`) of
-    its transpose, one per edge in sorted order, with at most 2d entries."""
+    its transpose, one per edge {u,v} in sorted order, with at most 2d
+    entries: block p(u)-p(v) at u and p(v)-p(u) at v."""
     columns = []
     for u, v in sorted(edges):
         col = {}
@@ -120,17 +121,6 @@ def _rigidity_columns(placement: list[tuple[int, ...]], edges, d: int) -> list[d
                 col[d * v + k] = -diff
         columns.append(col)
     return columns
-
-
-def rigidity_matrix(placement: list[tuple[int, ...]], edges, d: int):
-    """One row per edge {u,v}: block p(u)-p(v) at u, p(v)-p(u) at v."""
-    rows = []
-    for col in _rigidity_columns(placement, edges, d):
-        row = [0] * (d * len(placement))
-        for i, x in col.items():
-            row[i] = x
-        rows.append(row)
-    return rows
 
 
 def _random_prime(rng: random.Random) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import Complex, link, deletion, predicates
+from .complexes import Complex, is_flag, link, deletion
 from .homology import BettiTable, _embedded_face_set, betti
 from .linalg import FieldSpec
 from .properties import is_buchsbaum, is_buchsbaum_star, is_m_cohen_macaulay
@@ -158,7 +158,7 @@ def flag_bound_check(c: Complex, field: FieldSpec) -> dict:
     plus the Betti-weighted h' bound that holds for all Buchsbaum ones."""
     d = c.dim + 1
     bundle = face_vectors(c, field)
-    flag = predicates(c).is_flag
+    flag = is_flag(c)
     bstar = bool(is_buchsbaum_star(c, field))
     buchs = bool(is_buchsbaum(c, field))
     report = {"flag": flag, "buchsbaum_star": bstar, "buchsbaum": buchs}
@@ -284,8 +284,7 @@ def conjecture_probe(c: Complex, field: FieldSpec) -> dict:
     report["h_double_lower_half_leq"] = all(
         hpp[i] <= hpp[d - i] for i in range(0, d // 2 + 1))
     report["g_double_m_vector"] = m_vector_check(bundle.g_double_prime)
-    connected = len(predicates(c).components) == 1
-    if connected and d >= 4:
+    if bundle.betti.at(0) == 0 and d >= 4:  # connected
         report["g2_m_vector"] = m_vector_check(bundle.g[:3])
     if is_m_cohen_macaulay(c, field, 2):
         h = bundle.h

@@ -28,7 +28,7 @@ import itertools
 
 import sympy
 
-from bstar.complexes import _rebuild, contrastar, from_facets, link, predicates
+from bstar.complexes import _rebuild, components, contrastar, from_facets, link
 from bstar.homology import _boundary, _embedded_face_set, betti, betti_at, relative_betti
 from bstar.linalg import sparse_rank
 from bstar.properties import (ManifoldReport, _faces_ascending, _link_violation,
@@ -280,7 +280,7 @@ def manifold_report_by_recursion(c, f):
                 f"link of {c.describe_face(face)} is neither a homology "
                 f"sphere nor a homology ball",
             )
-    ncomp = len(predicates(c).components)
+    ncomp = len(components(c))
     if closed:
         return ManifoldReport(True, True, None, betti_at(c, f, d) == ncomp)
     bcomplex = _rebuild(sorted(boundary_faces), c)

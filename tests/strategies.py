@@ -1,8 +1,21 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and edge cases shared by the test modules."""
 
 from hypothesis import strategies as st
 
-from bstar.complexes import deletion, from_facets, skeleton
+from bstar.complexes import cone, deletion, from_facets, skeleton
+from bstar.constructions import bowtie, corpus, cycle, simplex
+
+EDGE_CASES = {
+    **{f"simplex{d}": simplex(d) for d in range(4)},  # simplex0 is one point
+    "two_points": from_facets([[0], [1]]),
+    "cone_over_cycle5": cone(cycle(5)),  # a 2-ball with an interior vertex
+    "bowtie": bowtie(),
+    "two_spheres": dict(corpus())["two_spheres"],
+    "star_graph": from_facets([("p", "a"), ("p", "b"), ("p", "c"), ("p", "d")]),
+    "only_empty_face": deletion(simplex(0), [0]),  # the complex {∅}
+    "triangle_with_whisker": from_facets([(0, 1, 2), (2, 3)]),  # not pure
+    "edge_and_point": from_facets([(0, 1), (2,)]),  # not pure
+}
 
 
 @st.composite

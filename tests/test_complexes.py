@@ -1,17 +1,21 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bstar import complexes
-from bstar.complexes import (Complex, FaceCountError, _maximal, cone, contrastar,
-                             deletion, from_facets, join, link,
-                             parse, predicates, set_max_faces, skeleton, to_json,
+from bstar.complexes import (Complex, FaceCountError, _maximal, components, cone, contrastar,
+                             deletion, from_facets, is_flag, join, link,
+                             parse, set_max_faces, skeleton, to_json,
                              to_text)
 from bstar.constructions import cross_polytope, cycle, example_2_10_i, simplex
+from bstar.homology import betti_at
+from bstar.linalg import GF2, QQ, FieldSpec
 from oracles import closure, faces_by_dim, minimal_nonfaces
+from strategies import EDGE_CASES, complexes_up_to_7_vertices
 
 
 def as_face_sets(c: Complex):
@@ -86,7 +90,7 @@ def test_link_examples(octahedron, torus):
     for v in range(7):
         lkv = link(torus, [v])
         assert lkv.f_vector() == (1, 6, 6)
-        assert len(predicates(lkv).components) == 1
+        assert len(components(lkv)) == 1
     with pytest.raises(ValueError, match="not a face"):
         link(octahedron, [0, 1])  # antipodal pair
     assert link(octahedron, []) == octahedron
@@ -164,14 +168,12 @@ def test_cone_examples(octahedron):
 
 
 def test_predicates(octahedron, torus):
-    po = predicates(octahedron)
-    assert po.is_pure and po.is_flag and len(po.components) == 1
-    assert len(po.graph_edges) == 12
-    pt = predicates(torus)
-    assert pt.is_pure and not pt.is_flag and len(pt.components) == 1
-    two = predicates(from_facets([(0, 1), (2, 3)]))
-    assert two.is_pure and two.is_flag and len(two.components) == 2
-    mixed = predicates(from_facets([(0, 1, 2), (2, 3)]))
+    assert octahedron.is_pure and is_flag(octahedron) and len(components(octahedron)) == 1
+    assert len(octahedron.faces(1)) == 12
+    assert torus.is_pure and not is_flag(torus) and len(components(torus)) == 1
+    two = from_facets([(0, 1), (2, 3)])
+    assert two.is_pure and is_flag(two) and len(components(two)) == 2
+    mixed = from_facets([(0, 1, 2), (2, 3)])
     assert not mixed.is_pure
 
 
@@ -181,8 +183,8 @@ def test_octahedron_minimal_nonfaces(octahedron):
 
 def test_flagness_scales_with_faces():
     # the vertex-subset sweep would take hours on the 1000-cycle
-    assert predicates(cycle(1000)).is_flag
-    assert not predicates(cycle(3)).is_flag
+    assert is_flag(cycle(1000))
+    assert not is_flag(cycle(3))
 
 
 # -- properties over random complexes ----------------------------------
@@ -212,9 +214,26 @@ def complexes_up_to_8_vertices(draw):
 @given(complexes_up_to_8_vertices())
 @settings(max_examples=150, deadline=None)
 def test_flagness_matches_minimal_nonfaces(c):
-    p = predicates(c)
-    assert p.is_flag == all(len(nf) == 2 for nf in minimal_nonfaces(c))
-    assert p.is_pure == c.is_pure == (len({len(f) for f in c.facets}) == 1)
+    assert is_flag(c) == all(len(nf) == 2 for nf in minimal_nonfaces(c))
+    assert c.is_pure == (len({len(f) for f in c.facets}) == 1)
+
+
+@given(st.one_of(complexes_up_to_7_vertices(), st.sampled_from(list(EDGE_CASES.values()))))
+@settings(max_examples=150, deadline=None)
+def test_components_partition_the_facets(c):
+    comps = components(c)
+    # the nonempty facets, by label; {∅} has none and no component
+    facets = Counter(frozenset(c.face_labels(f)) for f in c.facets if f)
+    assert Counter(frozenset(k.face_labels(f)) for k in comps for f in k.facets) == facets
+    assert sum(k.n_vertices for k in comps) == c.n_vertices
+    firsts = [c.labels.index(k.labels[0]) for k in comps]
+    assert firsts == sorted(firsts)
+    for f in (QQ, GF2, FieldSpec(3)):
+        assert all(betti_at(k, f, 0) == 0 for k in comps)
+        if c.n_vertices:
+            assert len(comps) == betti_at(c, f, 0) + 1
+        else:  # {∅}: no component, though its reduced beta_0 + 1 is 1
+            assert comps == () and betti_at(c, f, 0) + 1 == 1
 
 
 @given(st.lists(st.integers(0, 63), max_size=12))

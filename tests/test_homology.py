@@ -268,10 +268,9 @@ def test_universal_coefficients_direction():
     rational ones coordinatewise (torsion only adds in characteristic p)."""
     from bstar.constructions import corpus
     from bstar.properties import is_homology_manifold
-    from bstar.complexes import predicates
 
     for name, c in corpus():
-        if not predicates(c).is_pure:
+        if not c.is_pure:
             continue
         if not is_homology_manifold(c, GF2).manifold:
             continue
@@ -302,7 +301,7 @@ def small_complexes(draw):
 @settings(max_examples=40, deadline=None)
 def test_betti_matches_oracle(c, field):
     expected = betti_numbers([c.face_labels(f) for f in c.facets],
-                             None if field.is_rational else field.p)
+                             field.p)
     assert betti(c, field).betti == expected
 
 
@@ -333,7 +332,7 @@ def test_pair_maps_match_exact_sequence_oracle(pair, field):
     c, a = pair
     image, relative = pair_homology([a.face_labels(f) for f in a.facets],
                                     [c.face_labels(f) for f in c.facets],
-                                    None if field.is_rational else field.p)
+                                    field.p)
     for i in range(-1, c.dim + 2):
         assert inclusion_induced_is_zero(a, c, i, field) == (image.get(i, 0) == 0), i
         assert relative_betti(c, a, field, i) == (relative[i + 1] if i <= c.dim else 0), i

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import sympy
 
-from bstar.linalg import (GF2, QQ, FieldSpec, LinalgGuardError, in_column_space,
-                          is_prime, nullspace_basis, rank, set_max_cells,
-                          sparse_nullspace, sparse_rank)
+from bstar.linalg import (GF2, QQ, FieldSpec, LinalgGuardError, is_prime, set_max_cells,
+                          sparse_in_span, sparse_nullspace, sparse_rank)
 from oracles import rank_by_minors, rank_modular
 
 # boundary map of a 3-cycle: rows = vertices, cols = edges 01, 02, 12
@@ -16,6 +15,18 @@ CYCLE3_D1 = [
     [-1, 0, 1],
     [0, -1, -1],
 ]
+
+
+def column(vector):
+    """A dense vector as a sparse column {row: entry} (see `linalg`)."""
+    return {i: x for i, x in enumerate(vector) if x}
+
+
+def columns_of(matrix):
+    """A dense matrix, a list of equal-length rows, as its sparse columns
+    and its row count: the arguments of the sparse entry points."""
+    ncols = len(matrix[0]) if matrix else 0
+    return [column([row[j] for row in matrix]) for j in range(ncols)], len(matrix)
 
 
 def test_field_parsing():
@@ -39,59 +50,58 @@ def test_is_prime():
 
 @pytest.mark.parametrize("field", [QQ, GF2, FieldSpec(5)])
 def test_rank_trivial(field):
-    assert rank([[0, 0, 0]] * 3, field) == 0
+    assert sparse_rank(*columns_of([[0, 0, 0]] * 3), field) == 0
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert rank(eye, field) == 4
+    assert sparse_rank(*columns_of(eye), field) == 4
 
 
 def test_rank_cycle_boundary():
     # oracle: largest invertible minor
     assert rank_by_minors(CYCLE3_D1) == 2
-    assert rank(CYCLE3_D1, QQ) == 2
-    assert rank(CYCLE3_D1, GF2) == 2
-    assert rank(CYCLE3_D1, FieldSpec(3)) == 2
+    for field in (QQ, GF2, FieldSpec(3)):
+        assert sparse_rank(*columns_of(CYCLE3_D1), field) == 2
 
 
 def test_rank_fraction_entries():
     m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
-    assert rank(m, QQ) == rank_by_minors(m)
+    assert sparse_rank(*columns_of(m), QQ) == rank_by_minors(m)
 
 
 def test_fraction_entries_over_gfp():
     # 1/2 is 2 mod 3, not int(1/2) = 0
-    assert rank([[Fraction(1, 2)]], FieldSpec(3)) == 1
-    assert nullspace_basis([[Fraction(1, 2), 1]], FieldSpec(3)) == [[1, 1]]
-    assert in_column_space([[Fraction(1, 2)]], [1], FieldSpec(3))
+    gf3 = FieldSpec(3)
+    assert sparse_rank(*columns_of([[Fraction(1, 2)]]), gf3) == 1
+    assert sparse_nullspace(*columns_of([[Fraction(1, 2), 1]]), gf3) == [{0: 1, 1: 1}]
+    assert sparse_in_span(*columns_of([[Fraction(1, 2)]]), {0: 1}, gf3)
     with pytest.raises(ValueError, match="no residue mod 3"):
-        rank([[Fraction(1, 3)]], FieldSpec(3))
+        sparse_rank(*columns_of([[Fraction(1, 3)]]), gf3)
 
 
 def test_nullspace_examples():
     eye = [[1, 0], [0, 1]]
-    assert nullspace_basis(eye, QQ) == []
-    basis = nullspace_basis([[1, 1]], GF2)
-    assert basis == [[1, 1]]
-    cyc = nullspace_basis(CYCLE3_D1, QQ)
+    assert sparse_nullspace(*columns_of(eye), QQ) == []
+    basis = sparse_nullspace(*columns_of([[1, 1]]), GF2)
+    assert basis == [{0: 1, 1: 1}]
+    cyc = sparse_nullspace(*columns_of(CYCLE3_D1), QQ)
     assert len(cyc) == 1
     # the kernel element is the signed cycle 12 - 02 + 01
     v = cyc[0]
-    assert [x / v[2] for x in v] == [Fraction(1), Fraction(-1), Fraction(1)]
+    assert all(type(x) is Fraction for x in v.values())
+    assert [v[j] / v[2] for j in range(3)] == [Fraction(1), Fraction(-1), Fraction(1)]
 
 
 def test_in_column_space_examples():
-    m = [[1, 0], [0, 1], [1, 1]]
-    assert in_column_space(m, [0, 0, 0], QQ)
-    assert in_column_space(m, [1, 2, 3], QQ)
-    assert not in_column_space([[0], [0]], [1, 0], QQ)
-    assert in_column_space([], [], QQ)
-    with pytest.raises(ValueError, match="vector length"):
-        in_column_space([], [1, 2], QQ)
-    assert not in_column_space(m, [1, 0, 0], QQ)
+    m = columns_of([[1, 0], [0, 1], [1, 1]])
+    assert sparse_in_span(*m, column([0, 0, 0]), QQ)
+    assert sparse_in_span(*m, column([1, 2, 3]), QQ)
+    assert not sparse_in_span(*columns_of([[0], [0]]), column([1, 0]), QQ)
+    assert sparse_in_span(*columns_of([]), column([]), QQ)
+    assert not sparse_in_span(*m, column([1, 0, 0]), QQ)
     # boundary of the full triangle hits the boundary cycle of its rim
-    d2 = [[1], [-1], [1]]
-    assert in_column_space(d2, [1, -1, 1], QQ)
-    assert in_column_space(d2, [1, 1, 1], GF2)
-    assert not in_column_space(d2, [1, 1, 1], QQ)
+    d2 = columns_of([[1], [-1], [1]])
+    assert sparse_in_span(*d2, column([1, -1, 1]), QQ)
+    assert sparse_in_span(*d2, column([1, 1, 1]), GF2)
+    assert not sparse_in_span(*d2, column([1, 1, 1]), QQ)
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
@@ -107,31 +117,33 @@ def small_matrices(draw):
 @given(small_matrices(), st.sampled_from([QQ, GF2, FieldSpec(5), FieldSpec(97)]))
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(m, field):
-    assert rank(m, field) + len(nullspace_basis(m, field)) == len(m[0])
+    columns, nrows = columns_of(m)
+    assert sparse_rank(columns, nrows, field) + len(sparse_nullspace(columns, nrows, field)) \
+        == len(columns)
 
 
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_rank_matches_minor_oracle(m):
-    assert rank(m, QQ) == rank_by_minors(m)
+    assert sparse_rank(*columns_of(m), QQ) == rank_by_minors(m)
 
 
 @given(small_matrices())
 @settings(max_examples=40, deadline=None)
 def test_rational_rank_dominates_modular(m):
-    rq = rank(m, QQ)
-    assert rank(m, FieldSpec(2), ) <= rq
+    rq = sparse_rank(*columns_of(m), QQ)
+    assert sparse_rank(*columns_of(m), FieldSpec(2)) <= rq
     # a large prime cannot divide any of the small minors involved here
-    assert rank(m, FieldSpec(2**31 - 1)) == rq
+    assert sparse_rank(*columns_of(m), FieldSpec(2**31 - 1)) == rq
 
 
 @given(small_matrices(), st.sampled_from([QQ, FieldSpec(3)]))
 @settings(max_examples=30, deadline=None)
 def test_nullspace_vectors_annihilate(m, field):
-    for v in nullspace_basis(m, field):
+    for v in sparse_nullspace(*columns_of(m), field):
         for row in m:
-            s = sum(a * b for a, b in zip(row, v))
-            assert (s == 0) if field.is_rational else (s % field.p == 0)
+            s = sum(row[j] * x for j, x in v.items())
+            assert (s == 0) if field.p is None else (s % field.p == 0)
 
 
 @st.composite
@@ -148,7 +160,7 @@ def _oracle_rank(columns, nrows, field):
     if nrows == 0 or not columns:
         return 0
     m = sympy.Matrix(nrows, len(columns), lambda i, j: columns[j].get(i, 0))
-    return m.rank() if field.is_rational else rank_modular(m, field.p)
+    return m.rank() if field.p is None else rank_modular(m, field.p)
 
 
 @given(sparse_matrices(), st.sampled_from([QQ, GF2, FieldSpec(3)]))
@@ -170,10 +182,10 @@ def test_sparse_kernel_matches_oracles(matrix, field):
 
 def test_determinism():
     m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-    results = {rank([row[:] for row in m], QQ) for _ in range(5)}
+    results = {sparse_rank(*columns_of([row[:] for row in m]), QQ) for _ in range(5)}
     assert len(results) == 1
-    b1 = nullspace_basis(CYCLE3_D1, FieldSpec(7))
-    b2 = nullspace_basis([row[:] for row in CYCLE3_D1], FieldSpec(7))
+    b1 = sparse_nullspace(*columns_of(CYCLE3_D1), FieldSpec(7))
+    b2 = sparse_nullspace(*columns_of([row[:] for row in CYCLE3_D1]), FieldSpec(7))
     assert b1 == b2
 
 
@@ -181,6 +193,6 @@ def test_cell_guard():
     set_max_cells(10)
     try:
         with pytest.raises(LinalgGuardError):
-            rank([[0] * 10] * 10, QQ)
+            sparse_rank(*columns_of([[0] * 10] * 10), QQ)
     finally:
         set_max_cells(1 << 24)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (buchsbaum_star_by_contrastars, link_homology_violation,
                      m_fold_by_rebuild, manifold_report_by_recursion)
-from strategies import complexes_up_to_7_vertices
+from strategies import EDGE_CASES, complexes_up_to_7_vertices
 
 from bstar import clear_caches, homology, properties
 from bstar.complexes import cone, deletion, from_facets, link, skeleton
@@ -171,19 +171,6 @@ def test_closed_orientable_manifold_makes_no_projection(monkeypatch, c):
     assert rep.verdicts["buchsbaum*"] and rep.verdicts["doubly_buchsbaum"]
     assert rep.verdicts["orientable_manifold"]
     assert calls == []
-
-
-EDGE_CASES = {
-    **{f"simplex{d}": simplex(d) for d in range(4)},  # simplex0 is one point
-    "two_points": from_facets([[0], [1]]),
-    "cone_over_cycle5": cone(cycle(5)),  # a 2-ball with an interior vertex
-    "bowtie": bowtie(),
-    "two_spheres": dict(corpus())["two_spheres"],
-    "star_graph": from_facets([("p", "a"), ("p", "b"), ("p", "c"), ("p", "d")]),
-    "only_empty_face": deletion(simplex(0), [0]),  # the complex {∅}
-    "triangle_with_whisker": from_facets([(0, 1, 2), (2, 3)]),  # not pure
-    "edge_and_point": from_facets([(0, 1), (2,)]),  # not pure
-}
 
 
 # a 2-sphere with a triangle glued along an edge: CM with the homology of a

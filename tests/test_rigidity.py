@@ -3,13 +3,14 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import sympy
 
 from bstar import rigidity
 from bstar.constructions import cross_polytope, path, simplex_boundary
-from bstar.linalg import GF2, QQ, FieldSpec, rank, sparse_rank
+from bstar.linalg import GF2, QQ, FieldSpec, sparse_rank
 from bstar.rigidity import (Graph, _rigidity_columns, graph_of, is_generically_d_rigid,
-                            rigidity_matrix, vertex_connectivity)
-from oracles import connectivity_by_cuts
+                            vertex_connectivity)
+from oracles import connectivity_by_cuts, rank_modular
 
 
 def complete_graph(n):
@@ -137,19 +138,27 @@ def test_rigid_implies_connected(octahedron, torus):
 
 
 def test_rigidity_matrix_shape():
-    rows = rigidity_matrix([(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 2)], 2)
-    assert len(rows) == 2 and len(rows[0]) == 6
-    assert rows[0][:2] == [-1, 0] and rows[0][2:4] == [1, 0]
+    # one column per edge, p(u)-p(v) at u's coordinates and p(v)-p(u) at v's
+    columns = _rigidity_columns([(0, 0), (1, 0), (0, 1)], [(1, 2), (0, 1)], 2)
+    assert columns == [{0: -1, 2: 1}, {2: 1, 3: -1, 4: -1, 5: 1}]
 
 
 def test_rigidity_columns_are_the_transposed_matrix():
-    # the decider ranks one sparse column per edge (2d entries); the dense
-    # rows of `rigidity_matrix` have the same rank over every field
+    # the decider ranks one sparse column per edge (2d entries); the
+    # rigidity matrix, one row per edge, has that rank over every field
     g = graph_of(cross_polytope(3))
     placement = [(3, -1, 4), (1, 5, -9), (2, 6, 5), (-3, 8, 7), (9, 7, -2), (5, 2, 3)]
     columns = _rigidity_columns(placement, g.edges, 3)
-    rows = rigidity_matrix(placement, g.edges, 3)
     assert all(len(col) == 6 for col in columns)
-    assert [{i: x for i, x in enumerate(row) if x} for row in rows] == columns
+
+    def row(u, v):
+        r = [0] * (3 * g.n)
+        for k in range(3):
+            r[3 * u + k] = placement[u][k] - placement[v][k]
+            r[3 * v + k] = -r[3 * u + k]
+        return r
+    rows = sympy.Matrix([row(u, v) for u, v in sorted(g.edges)])
+    assert [{i: x for i, x in enumerate(r) if x} for r in rows.tolist()] == columns
     for f in (QQ, GF2, FieldSpec(7)):
-        assert sparse_rank(columns, 3 * g.n, f) == rank(rows, f)
+        want = rows.rank() if f.p is None else rank_modular(rows, f.p)
+        assert sparse_rank(columns, 3 * g.n, f) == want
