@@ -1,11 +1,13 @@
 """Command line interface: check | vectors | homology | construct | verify.
 
 Inputs are file paths (canonical JSON facet format or plain text, one
-facet per line) or named complexes via "named:<name>".  All output is
-key-sorted JSON by default; verdicts are data, so `check` exits 0 even
-for complexes failing every property.  Exit code 2 signals unusable
-input or an exceeded guard, exit 1 a failed verification run, and exit 3
-a failed internal consistency check (a bug in the library).
+facet per line) or named complexes via "named:<name>".  `check`,
+`vectors` and `homology` are one command, `cmd_per_field`, that prints
+one report per field; `_PER_FIELD` names the report each one builds.
+All output is key-sorted JSON by default; verdicts are data, so `check`
+exits 0 even for complexes failing every property.  Exit code 2 signals
+unusable input or an exceeded guard, exit 1 a failed verification run,
+and exit 3 a failed internal consistency check (a bug in the library).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .complexes import Complex, FaceCountError, cone, join, parse, skeleton, to_
 from .constructions import (corpus, export_corpus, named, product,
                             stacked_sphere)
 from .homology import betti
-from .linalg import FieldSpec, LinalgGuardError
+from .linalg import DEFAULT_FIELDS, FieldSpec, LinalgGuardError
 from .properties import ConsistencyError, SubsetGuardError, property_report
 from .theorems import run_battery
 from .vectors import face_vectors
@@ -68,7 +70,7 @@ def _emit_text(data, indent=0) -> None:
 
 
 def _read_complex_file(path: str) -> Complex:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     if path.endswith(".json") and not text.lstrip().startswith("{"):
         raise ValueError('expected an object with a "facets" key')
@@ -81,10 +83,8 @@ def _load_complex(source: str) -> Complex:
     return _read_complex_file(source)
 
 
-def _fields(args) -> list[FieldSpec]:
-    if args.field:
-        return [FieldSpec.parse(f) for f in args.field]
-    return [FieldSpec.parse("q"), FieldSpec.parse("gf:2")]
+def _fields(args) -> tuple[FieldSpec, ...]:
+    return tuple(map(FieldSpec.parse, args.field)) or DEFAULT_FIELDS
 
 
 def _guard_flag(text: str) -> int:
@@ -112,25 +112,23 @@ def _complex_summary(c: Complex) -> dict:
     }
 
 
-def cmd_check(args) -> int:
+# The per-field commands: name, help, output key, and one field's report.
+# The lambdas look up property_report, face_vectors and betti in this
+# module's globals when called, where bench/spans.py's tracer patches them.
+_PER_FIELD = (
+    ("check", "decide the property hierarchy", "reports",
+     lambda c, f: property_report(c, f).to_jsonable()),
+    ("vectors", "f/h/h'/h''/g vectors", "vectors",
+     lambda c, f: face_vectors(c, f).to_jsonable()),
+    ("homology", "reduced Betti numbers", "homology",
+     lambda c, f: {"field": str(f), "betti": list(betti(c, f).betti)}),
+)
+
+
+def cmd_per_field(args) -> int:
     c = _load_complex(args.input)
-    reports = [property_report(c, f).to_jsonable() for f in _fields(args)]
-    _emit({"complex": _complex_summary(c), "reports": reports}, args.format)
-    return 0
-
-
-def cmd_vectors(args) -> int:
-    c = _load_complex(args.input)
-    reports = [face_vectors(c, f).to_jsonable() for f in _fields(args)]
-    _emit({"complex": _complex_summary(c), "vectors": reports}, args.format)
-    return 0
-
-
-def cmd_homology(args) -> int:
-    c = _load_complex(args.input)
-    tables = [{"field": str(f), "betti": list(betti(c, f).betti)}
-              for f in _fields(args)]
-    _emit({"complex": _complex_summary(c), "homology": tables}, args.format)
+    reports = [args.report(c, f) for f in _fields(args)]
+    _emit({"complex": _complex_summary(c), args.key: reports}, args.format)
     return 0
 
 
@@ -218,17 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized rigidity tests")
 
-    p_check = sub.add_parser("check", help="decide the property hierarchy")
-    common(p_check)
-    p_check.set_defaults(fn=cmd_check)
-
-    p_vec = sub.add_parser("vectors", help="f/h/h'/h''/g vectors")
-    common(p_vec)
-    p_vec.set_defaults(fn=cmd_vectors)
-
-    p_hom = sub.add_parser("homology", help="reduced Betti numbers")
-    common(p_hom)
-    p_hom.set_defaults(fn=cmd_homology)
+    for name, help_text, key, report in _PER_FIELD:
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.set_defaults(fn=cmd_per_field, key=key, report=report)
 
     p_con = sub.add_parser(
         "construct",

@@ -16,8 +16,13 @@ extending each face with its common neighbours: O(faces x degree).
 
 Serialization writes labels as strings, so `to_json` and `to_text`
 refuse a complex in which two vertices' labels print alike (1 and "1"),
-as parsing the output back would merge them.  `from_facets`, and so `parse`,
-refuses distinct labels that would merge, being equal in Python (1 and True).
+as parsing the output back would merge them.  `to_text` also refuses a
+label that is empty, holds whitespace or starts with "{": parsed back,
+the text would lose it, split it, or read as JSON.  It refuses a label
+that starts with a byte-order mark too, which the CLI drops from the
+start of a file.  `from_facets`, and
+so `parse`, refuses distinct labels that would merge, being equal in
+Python (1 and True).
 
 The empty complex {∅} (no vertices, only the empty face) can arise from
 deletions and contrastars but is deliberately not constructible from
@@ -425,7 +430,10 @@ def parse(text: str) -> Complex:
     per line, whitespace-separated labels)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
         if not isinstance(data, dict) or "facets" not in data:
             raise ValueError('expected an object with a "facets" key')
         facets = data["facets"]
@@ -461,4 +469,11 @@ def to_json(c: Complex) -> str:
 
 
 def to_text(c: Complex) -> str:
-    return "\n".join(" ".join(f) for f in _string_facets(c)) + "\n"
+    """One facet per line, labels separated by spaces; refuses labels that
+    the text cannot carry (module docstring)."""
+    facets = _string_facets(c)
+    for name in map(str, c.labels):
+        if name.split() != [name] or name.startswith(("{", "\ufeff")):
+            raise ValueError(f"label {name!r} cannot be written as text: it is empty, "
+                             f"holds whitespace or starts with '{{' or a byte-order mark")
+    return "\n".join(" ".join(f) for f in facets) + "\n"

@@ -51,6 +51,7 @@ __all__ = [
     "FieldSpec",
     "QQ",
     "GF2",
+    "DEFAULT_FIELDS",
     "LinalgGuardError",
     "is_prime",
     "sparse_pivots",
@@ -131,6 +132,7 @@ class FieldSpec:
 
 QQ = FieldSpec()
 GF2 = FieldSpec(2)
+DEFAULT_FIELDS = (QQ, GF2)  # for the CLI and `run_battery` when no field is given
 
 
 def _check_cells(nrows: int, ncols: int) -> None:

@@ -45,6 +45,13 @@ contrastar Betti numbers, checks every Buchsbaum* verdict independently.
 All deciders are pure.  The link walk and projection sweep are memoised by shape
 (`clear_caches` empties the memo), so the deciders add the labels of faces.
 
+`property_report` is a table of the deciders: it runs six of them in a
+fixed order, each finding what those before it memoised, keeps each
+verdict and any witness, adds the manifold report, and raises
+`ConsistencyError` when one of five implications of the hierarchy
+fails.  It reads no clock, so a report is a function of the complex and
+the field alone.
+
 The m-fold properties ask the same of every deletion of fewer than m
 vertices.  Deleting commutes with taking links, lk_{Δ−v}(F) = lk_Δ(F) − v,
 which is lk_Δ(F) itself unless F ∪ {v} is a face.
@@ -79,7 +86,6 @@ and decides each one in full.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
@@ -399,41 +405,32 @@ class PropertyReport:
     field: FieldSpec
     verdicts: dict = dc_field(default_factory=dict)
     witnesses: dict = dc_field(default_factory=dict)
-    timings: dict = dc_field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
         return {
             "field": str(self.field),
             "verdicts": dict(sorted(self.verdicts.items())),
             "witnesses": dict(sorted(self.witnesses.items())),
-            "timings": {k: round(v, 6) for k, v in sorted(self.timings.items())},
         }
 
 
 def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
     """Run every decider, cross-check the implication lattice, and collect
-    witnesses and timings."""
+    witnesses."""
     report = PropertyReport(field=f)
-
-    def run(name, fn):
-        t0 = time.perf_counter()
-        result = fn()
-        report.timings[name] = time.perf_counter() - t0
-        if isinstance(result, Verdict):
-            report.verdicts[name] = result.ok
-            if result.witness:
-                report.witnesses[name] = result.witness
-        else:
-            report.verdicts[name] = bool(result)
-        return result
-
-    # each decider runs after those it reads, so its timing is its own work
-    run("cohen_macaulay", lambda: is_cohen_macaulay(c, f))
-    run("buchsbaum", lambda: is_buchsbaum(c, f))
-    run("buchsbaum*", lambda: is_buchsbaum_star(c, f))
-    run("doubly_cohen_macaulay", lambda: is_m_cohen_macaulay(c, f, 2))
-    run("doubly_buchsbaum", lambda: is_doubly_buchsbaum(c, f))
-    run("gorenstein*", lambda: is_gorenstein_star(c, f))
+    # built in this order, so each decider finds what those before it memoised
+    results = {
+        "cohen_macaulay": is_cohen_macaulay(c, f),
+        "buchsbaum": is_buchsbaum(c, f),
+        "buchsbaum*": is_buchsbaum_star(c, f),
+        "doubly_cohen_macaulay": is_m_cohen_macaulay(c, f, 2),
+        "doubly_buchsbaum": is_doubly_buchsbaum(c, f),
+        "gorenstein*": is_gorenstein_star(c, f),
+    }
+    for name, result in results.items():
+        report.verdicts[name] = bool(result)
+        if isinstance(result, Verdict) and result.witness:
+            report.witnesses[name] = result.witness
     mrep = is_homology_manifold(c, f)
     report.verdicts["homology_manifold"] = mrep.manifold
     report.verdicts["orientable_manifold"] = mrep.manifold and mrep.orientable

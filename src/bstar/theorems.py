@@ -31,7 +31,7 @@ from .constructions import (EarDecomposition, corpus, cross_polytope, example_2_
                             verify_ear_decomposition)
 from .homology import (betti, betti_at, contrastar_betti, reduced_euler_characteristic,
                        relative_betti, relative_surjectivity, top_projection_surjective)
-from .linalg import GF2, QQ
+from .linalg import DEFAULT_FIELDS, GF2, QQ
 from .properties import (_deletion_sweep, _pair_projections, _projection_violation,
                          is_buchsbaum, is_buchsbaum_star, is_cohen_macaulay,
                          is_doubly_buchsbaum, is_homology_manifold, is_m_buchsbaum_star,
@@ -40,8 +40,6 @@ from .rigidity import graph_of, is_generically_d_rigid, vertex_connectivity
 from .vectors import (conjecture_probe, deletion_identity_check, face_vectors,
                       flag_bound_check, h_vector, lbt_check, m_vector_check,
                       stacked_face_counts)
-
-DEFAULT_FIELDS = (QQ, GF2)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from bstar.complexes import cone, deletion, from_facets, skeleton
+from bstar.complexes import Complex, cone, deletion, from_facets, skeleton
 from bstar.constructions import bowtie, corpus, cycle, simplex
 
 EDGE_CASES = {
@@ -30,3 +30,29 @@ def complexes_up_to_7_vertices(draw):
     if gone:
         c = deletion(c, sorted(gone))
     return skeleton(c, draw(st.integers(1, 3)))
+
+
+def stellar_subdivision(c: Complex, face: int) -> Complex:
+    """Stellar subdivision of c at the face with mask `face`: a new vertex
+    w, and each facet G ⊇ face replaced by (G − u) ∪ {w} for every vertex
+    u of the face (Lickorish 1999, "Simplicial moves on complexes and
+    manifolds").  The realization is the same, so every topological
+    invariant is."""
+    w = 1 << c.n_vertices
+    corners = [1 << v for v in range(c.n_vertices) if face >> v & 1]
+    masks = []
+    for g in c._facet_masks:
+        if g & face == face:
+            masks += [g & ~u | w for u in corners]
+        else:
+            masks.append(g)
+    return Complex(masks, c.n_vertices + 1, c.labels + (("w", c.n_vertices),))
+
+
+@st.composite
+def subdivision_chains(draw, c: Complex):
+    """c after one to three stellar subdivisions at faces of dimension ≥ 1."""
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, c.dim))
+        c = stellar_subdivision(c, draw(st.sampled_from(c.face_masks(d))))
+    return c

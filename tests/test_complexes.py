@@ -331,6 +331,40 @@ def test_serialization_rejects_labels_that_print_alike():
             write(c)
 
 
+def test_to_text_refuses_labels_the_text_cannot_carry():
+    for facets in ([["a b", "c"], ["c", "d"]], [["", "x"]], [["{x", "y"]], [["\ufeffx"]]):
+        with pytest.raises(ValueError, match="cannot be written as text"):
+            to_text(from_facets(facets))
+
+
+LABELS = st.one_of(st.integers(-2, 2), st.booleans(), st.none(),
+                   st.floats(allow_nan=True, width=16), st.text(max_size=3),
+                   st.sampled_from(["", " ", "a b", "{", "{x", "x{", "\ufeffx"]))
+
+
+@given(st.lists(st.lists(LABELS, min_size=1, max_size=4), min_size=1, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_serialization_round_trips_or_refuses(facets):
+    """`to_json` and `to_text`, parsed back, give the facets under string
+    labels, or refuse with ValueError exactly when the module docstring
+    says they do."""
+    try:
+        c = from_facets(facets)
+    except ValueError:  # distinct labels that Python holds equal
+        return
+    names = [str(lab) for lab in c.labels]
+    alike = len(set(names)) < len(names)
+    unwritable = any(n.split() != [n] or n.startswith(("{", "\ufeff")) for n in names)
+    expected = sorted(sorted(names[v] for v in f) for f in c.facets)
+    for write, refused in ((to_json, alike), (to_text, alike or unwritable)):
+        if refused:
+            with pytest.raises(ValueError):
+                write(c)
+        else:
+            back = parse(write(c))
+            assert sorted(sorted(back.labels[v] for v in f) for f in back.facets) == expected
+
+
 @pytest.mark.parametrize("facets, pair", [
     ([[1, 2], [True, 3]], "1 and True"),
     ([[0, 2], [False, 3]], "0 and False"),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (buchsbaum_star_by_contrastars, link_homology_violation,
                      m_fold_by_rebuild, manifold_report_by_recursion)
-from strategies import EDGE_CASES, complexes_up_to_7_vertices
+from strategies import EDGE_CASES, complexes_up_to_7_vertices, subdivision_chains
 
 from bstar import clear_caches, homology, properties
 from bstar.complexes import cone, deletion, from_facets, link, skeleton
@@ -288,6 +288,33 @@ def test_corpus_reports_match_golden_file():
     assert got == json.loads(GOLDEN_REPORTS.read_text(encoding="utf-8"))
 
 
+# Every verdict but doubly Buchsbaum is a property of the realization:
+# CM and Buchsbaum (Munkres 1984), doubly CM (Walker 1981), Buchsbaum*
+# (defined from the realization), and those read off local homology.
+# Doubly Buchsbaum is left out, as no source in hand proves it topological.
+TOPOLOGICAL = ("buchsbaum", "buchsbaum*", "cohen_macaulay", "doubly_cohen_macaulay",
+               "gorenstein*", "homology_manifold", "orientable_manifold")
+SUBDIVIDED = [name for name, c in corpus() if c.dim >= 1]
+
+
+@pytest.mark.parametrize("name", SUBDIVIDED)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stellar_subdivisions_keep_betti_tables_and_verdicts(name, data):
+    """A subdivided corpus complex has the Betti tables of the original and
+    the verdicts recorded for it in the golden file, over q, gf:2 and gf:3.
+    The golden file, not a fresh report, is the reference, so a decider
+    that is wrong on the original and its subdivisions alike still fails."""
+    original = dict(corpus())[name]
+    c = data.draw(subdivision_chains(original))
+    golden = json.loads(GOLDEN_REPORTS.read_text(encoding="utf-8"))[name]
+    for f, recorded in zip((QQ, GF2, FieldSpec(3)), golden):
+        assert betti(c, f).betti == betti(original, f).betti, f
+        verdicts = property_report(c, f).verdicts
+        assert ({k: verdicts[k] for k in TOPOLOGICAL}
+                == {k: recorded["verdicts"][k] for k in TOPOLOGICAL}), f
+
+
 @pytest.mark.parametrize("name", EDGE_CASES)
 def test_doubly_deciders_on_edge_cases(name):
     # one point fails only by the ridge condition: its deletion {∅} drops
@@ -432,7 +459,6 @@ def test_property_report_counterexample():
     assert rep.verdicts["cohen_macaulay"] is True
     assert rep.verdicts["doubly_cohen_macaulay"] is False
     assert "vertex p" in rep.witnesses["buchsbaum*"]
-    assert set(rep.timings) >= {"buchsbaum", "buchsbaum*"}
 
 
 def test_property_report_octahedron(octahedron):
