@@ -6,7 +6,10 @@ optional hashable label that survives links/deletions/contrastars (labels
 are what the CLI prints, and `homology._embedded_face_set` matches a
 subcomplex to its ambient complex by them).
 Faces cross the public API as sorted tuples of vertex indices; internally
-every face is a bitmask int over the vertex set.
+every face is a bitmask int over the vertex set, and the deciders keep it
+so up to the witness, the one place a tuple is made (`describe_face`).
+`_link` is `link` of a mask, and `_bits` the one iterator over the
+vertices of a mask.
 
 Costs follow the faces, never the vertex subsets.  Purity
 (`Complex.is_pure`) compares the smallest and largest facet.  Flagness
@@ -97,6 +100,14 @@ def _mask_of(indices: Iterable[int]) -> int:
     for v in indices:
         m |= 1 << v
     return m
+
+
+def _bits(mask: int):
+    """The one-vertex masks of `mask`, lowest vertex first."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
 
 
 def _tuple_of(mask: int) -> tuple[int, ...]:
@@ -288,7 +299,11 @@ def _rebuild(masks: Iterable[int], parent: Complex) -> Complex:
 
 def link(c: Complex, face: Iterable[int]) -> Complex:
     """Link of `face`: all faces disjoint from it whose union with it is a face."""
-    s = c.mask(face)
+    return _link(c, c.mask(face))
+
+
+def _link(c: Complex, s: int) -> Complex:
+    """The link of the face with mask `s` (see `link`)."""
     if s == 0:
         return c
     masks = [f & ~s for f in c._facet_masks if f & s == s]

@@ -6,13 +6,16 @@ reduced.  Faces are ordered by their sorted vertex tuples; the boundary
 of a face drops its k-th smallest vertex with sign (-1)^k.
 
 `_boundary` is the one builder of boundary maps.  It gives sparse columns
-in the format of `linalg`, for a whole complex or for the cells that a
-predicate keeps (those outside a subcomplex, for a pair; those inside a
-subcomplex, for its cycles and the chains they may bound in; those that
-do not contain a face, for its contrastar; those that contain a face, for
-a star), and every rank, cycle basis and span test goes to the sparse
-entry points of `linalg`.  A subcomplex enters as its face masks in the
-ambient complex, matched by label in `_embedded_face_set`.
+in the format of `linalg` for the cells its caller names, as face masks,
+into the rows its caller names; a face of a cell that is not a row gives
+no entry.  The callers name the faces of a whole complex, those outside
+a subcomplex (a pair), those inside a subcomplex (its cycles and the
+chains they may bound in), those that do not contain a face (its
+contrastar), and the top facets through a face with their ridges through
+it (a star, listed from the facets, so no other face is visited).  Every
+rank, cycle basis and span test goes to the sparse entry points of
+`linalg`.  A subcomplex enters as its face masks in the ambient complex,
+matched by label in `_embedded_face_set`.
 
 `_kept_betti` gives the homology of the cells a predicate keeps, under
 the boundary of the whole complex: of a pair (`relative_betti`) or of a
@@ -26,8 +29,9 @@ Betti numbers, of a complex, a pair or a contrastar, are ranked from the
 top degree down, with clearing (Chen-Kerber 2011, "Persistent homology
 computation with a twist"; see `linalg`): each pivot row of the boundary
 map out of the (i+1)-cells is an i-cell whose column in the map out of
-the i-cells would reduce to zero, so `_boundary` skips it and the rank
-is the number of pivots of the columns that are left.
+the i-cells would reduce to zero, so it is left out of the cells handed
+to `_boundary`, and the rank is the number of pivots of the columns that
+are left.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .complexes import Complex, _contrastar_mask, _mask_of, _tuple_of
+from .complexes import Complex, _bits, _contrastar_mask, _mask_of, _tuple_of
 from .linalg import FieldSpec, sparse_in_span, sparse_nullspace, sparse_pivots, sparse_rank
 
 __all__ = [
@@ -68,17 +72,10 @@ class BettiTable:
         return self.betti[-1]
 
 
-def _boundary(c: Complex, d: int, keep=None, skip=frozenset()):
-    """The boundary map from the d-cells to the (d-1)-cells of c, as
-    sparse columns (see `linalg`), with the two cell lists.
-
-    With `keep`, only the cells whose masks it accepts are used: for a
-    pair, the cells outside the subcomplex; for a contrastar, the cells
-    that do not contain the face; for a star, the cells that contain it.
-    The d-cells in `skip` (masks) give no column.
-    """
-    cells = [m for m in c.face_masks(d) if (keep is None or keep(m)) and m not in skip]
-    rows = [m for m in c.face_masks(d - 1) if keep is None or keep(m)]
+def _boundary(cells, rows):
+    """The boundary map from `cells` to `rows`, face masks one dimension
+    apart, as sparse columns (see `linalg`): one column per cell, with an
+    entry at each of its faces that is a row."""
     index = {m: i for i, m in enumerate(rows)}
     columns = []
     for m in cells:
@@ -90,7 +87,7 @@ def _boundary(c: Complex, d: int, keep=None, skip=frozenset()):
                 col[i] = sign
             sign, rest = -sign, rest ^ bit
         columns.append(col)
-    return columns, cells, rows
+    return columns
 
 
 # The one memo table: shape (vertex count, facet masks) -> {(function,
@@ -118,7 +115,8 @@ def betti(c: Complex, field: FieldSpec) -> BettiTable:
     ranks = [0] * (c.dim + 3)  # ranks[i + 1]: rank of the boundary out of the i-cells
     cleared = frozenset()
     for i in range(c.dim, -1, -1):
-        columns, _, rows = _boundary(c, i, skip=cleared)
+        rows = c.face_masks(i - 1)
+        columns = _boundary([m for m in c.face_masks(i) if m not in cleared], rows)
         pivots = sparse_pivots(columns, len(rows), field)
         ranks[i + 1] = len(pivots)
         cleared = {rows[r] for r in pivots}
@@ -165,11 +163,11 @@ def _kept_betti(c: Complex, keep, field: FieldSpec, i: int) -> int:
     Degree -1 is the empty face, so it counts only if `keep` accepts it."""
     if i < -1 or i > c.dim:
         return 0
+    rows, cells, above = ([m for m in c.face_masks(d) if keep(m)] for d in (i - 1, i, i + 1))
     # the upper map first: its pivot rows clear columns of the lower one
-    upper, _, cells = _boundary(c, i + 1, keep)
-    pivots = sparse_pivots(upper, len(cells), field)
-    del upper
-    lower, _, rows = _boundary(c, i, keep, {cells[r] for r in pivots})
+    pivots = sparse_pivots(_boundary(above, cells), len(cells), field)
+    cleared = {cells[r] for r in pivots}
+    lower = _boundary([m for m in cells if m not in cleared], rows)
     return len(cells) - len(pivots) - sparse_rank(lower, len(rows), field)
 
 
@@ -206,11 +204,13 @@ def _nonbounding_cycle(c: Complex, inside: set[int], around: set[int] | None,
     of (i+1)-chains on the faces `around` (all of c for None), as
     (coefficient, face mask) pairs in the face order of c, or None.  Both
     are face-mask sets of subcomplexes of c, `inside` within `around`."""
-    columns, cells, rows = _boundary(c, i, inside.__contains__)
-    cycles = sparse_nullspace(columns, len(rows), field)
+    rows, cells = ([m for m in c.face_masks(d) if m in inside] for d in (i - 1, i))
+    cycles = sparse_nullspace(_boundary(cells, rows), len(rows), field)
     if not cycles:
         return None
-    target, _, faces = _boundary(c, i + 1, None if around is None else around.__contains__)
+    faces, chains = (c.face_masks(d) if around is None
+                     else [m for m in c.face_masks(d) if m in around] for d in (i, i + 1))
+    target = _boundary(chains, faces)
     index = {m: j for j, m in enumerate(faces)}
     for z in cycles:
         vec = {index[cells[k]]: coeff for k, coeff in z.items()}
@@ -223,10 +223,18 @@ def _nonbounding_cycle(c: Complex, inside: set[int], around: set[int] | None,
 def _star_top_cycles(c: Complex, field: FieldSpec, face_mask: int):
     """The top faces containing `face_mask` and the kernel of the boundary
     map on them (= top homology of the pair (c, contrastar face), or of c
-    for mask 0), each kernel vector keyed by face mask."""
-    columns, cells, rows = _boundary(c, c.dim, lambda m: m & face_mask == face_mask)
-    return tuple(cells), tuple({cells[k]: x for k, x in z.items()}
-                               for z in sparse_nullspace(columns, len(rows), field))
+    for mask 0), each kernel vector keyed by face mask.
+
+    The top faces are the largest facets, read off the facet list in the
+    order of `Complex.face_masks`, and the rows are their ridges through
+    the face: no other face of c is visited.  The kernel basis depends on
+    the column order only, so the order of the rows does not matter."""
+    top = c.dim + 1
+    cells = tuple(g for g in c._facet_masks
+                  if g & face_mask == face_mask and g.bit_count() == top)
+    rows = dict.fromkeys(g ^ bit for g in cells for bit in _bits(g ^ face_mask))
+    return cells, tuple({cells[k]: x for k, x in z.items()}
+                        for z in sparse_nullspace(_boundary(cells, rows), len(rows), field))
 
 
 def _projection_cokernel(c: Complex, field: FieldSpec, sm: int, tm: int) -> int:

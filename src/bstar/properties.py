@@ -44,6 +44,8 @@ contrastar Betti numbers, checks every Buchsbaum* verdict independently.
 
 All deciders are pure.  The link walk and projection sweep are memoised by shape
 (`clear_caches` empties the memo), so the deciders add the labels of faces.
+They walk faces as masks (`_faces_ascending`) and make a vertex tuple only
+to name a face in a witness.
 
 `property_report` is a table of the deciders: it runs six of them in a
 fixed order, each finding what those before it memoised, keeps each
@@ -89,7 +91,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-from .complexes import Complex, _rebuild, deletion, link
+from .complexes import Complex, _bits, _link, _rebuild, _tuple_of, deletion
 from .homology import (_by_shape, _kept_betti, _projection_cokernel, _shapes,
                        betti, betti_at)
 from .linalg import FieldSpec
@@ -142,9 +144,10 @@ class Verdict:
 
 
 def _faces_ascending(c: Complex):
-    """The nonempty faces of c by dimension, then in sorted order."""
+    """The masks of the nonempty faces of c by dimension, each dimension in
+    `Complex.face_masks` order (that of the sorted vertex tuples)."""
     for d in range(0, c.dim + 1):
-        yield from c.faces(d)
+        yield from c.face_masks(d)
 
 
 def _link_violation(b: tuple[int, ...], top: int | None) -> str | None:
@@ -165,10 +168,10 @@ def _link_walk(c: Complex, f: FieldSpec):
     order, up to the first with reduced homology below its top dimension.
 
     Returns the top reduced Betti number of every link passed, in that
-    order, then the failing face and why it fails, or None and None."""
+    order, then the failing face's mask and why it fails, or None and None."""
     tops = []
     for face in _faces_ascending(c):
-        b = betti(link(c, face), f).betti
+        b = betti(_link(c, face), f).betti
         why = _link_violation(b, None)
         if why:
             return tuple(tops), face, why
@@ -190,7 +193,7 @@ def is_cohen_macaulay(c: Complex, f: FieldSpec) -> Verdict:
     if why:
         return Verdict(False, f"the whole complex {why}")
     _, face, why = _link_walk(c, f)
-    return Verdict(why is None, why and f"link of {c.describe_face(face)} {why}")
+    return Verdict(why is None, why and f"link of {c.describe_face(_tuple_of(face))} {why}")
 
 
 def _guard_subsets(c: Complex, m: int) -> None:
@@ -216,13 +219,6 @@ def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider) -> bool:
             if rest.dim != c.dim or not decider(rest, f):
                 return False
     return True
-
-
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        yield bit
-        mask ^= bit
 
 
 def _ridges_shared(c: Complex) -> bool:
@@ -254,7 +250,7 @@ def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
     if not c.is_pure:
         return Verdict(False, "not pure")
     _, face, why = _link_walk(c, f)
-    return Verdict(why is None, why and f"link of {c.describe_face(face)} {why}")
+    return Verdict(why is None, why and f"link of {c.describe_face(_tuple_of(face))} {why}")
 
 
 def _pair_projections(c: Complex, f: FieldSpec) -> bool:
@@ -286,11 +282,11 @@ def is_doubly_buchsbaum(c: Complex, f: FieldSpec) -> bool:
 
 @_by_shape
 def _projection_violation(c: Complex, f: FieldSpec):
-    """The first nonempty face, in `_faces_ascending` order, onto whose
-    star H_d(c) does not project, with the dimension of the cokernel
-    (d = dim c), or None."""
+    """The mask of the first nonempty face, in `_faces_ascending` order,
+    onto whose star H_d(c) does not project, with the dimension of the
+    cokernel (d = dim c), or None."""
     for face in _faces_ascending(c):
-        coker = _projection_cokernel(c, f, 0, c.mask(face))
+        coker = _projection_cokernel(c, f, 0, face)
         if coker:
             return face, coker
     return None
@@ -318,7 +314,7 @@ def is_buchsbaum_star(c: Complex, f: FieldSpec) -> Verdict:
         return Verdict(True)
     face, coker = violation
     target = betti_at(c, f, c.dim - 1)
-    return Verdict(False, f"{c.describe_face(face)}: contrastar Betti "
+    return Verdict(False, f"{c.describe_face(_tuple_of(face))}: contrastar Betti "
                           f"{target + coker} != {target} in degree {c.dim - 1}")
 
 
@@ -380,14 +376,14 @@ def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
             failed = face
             break
         if top == 0:
-            boundary_faces.add(c.mask(face))
+            boundary_faces.add(face)
             if ball_note is None:
                 ball_note = (f"boundary recognised by Betti vanishing, "
-                             f"first at {c.describe_face(face)}")
+                             f"first at {c.describe_face(_tuple_of(face))}")
     if failed is not None:
         return ManifoldReport(
             False, False, None, False,
-            f"link of {c.describe_face(failed)} is neither a homology "
+            f"link of {c.describe_face(_tuple_of(failed))} is neither a homology "
             f"sphere nor a homology ball",
         )
     if any(m ^ bit and m ^ bit not in boundary_faces

@@ -125,30 +125,17 @@ def deletion_identity_check(c: Complex, field: FieldSpec) -> dict:
               "first_violation": None}
     for v in range(c.n_vertices):
         rest = deletion(c, [v])
-        lk = link(c, [v])
         h_rest = h_vector(rest, d)
-        h_lk = h_vector(lk, d - 1)
-        for j in range(d + 1):
-            lhs = h_c[j]
-            rhs = h_rest[j] + (h_lk[j - 1] if j >= 1 else 0)
-            if lhs != rhs:
-                result["h_identity"] = "fail"
-                result["first_violation"] = {
-                    "identity": "h", "vertex": str(c.labels[v]), "j": j,
-                    "lhs": lhs, "rhs": rhs,
-                }
-                return result
+        h_lk = (0, *h_vector(link(c, [v]), d - 1))  # h_{j-1}(link v) at j
+        checks = [("h", h_c, h_rest)]
         if bstar:
-            hp_rest = _h_prime(h_rest, betti(rest, field), d)
+            checks.append(("h_prime", hp_c, _h_prime(h_rest, betti(rest, field), d)))
+        for name, whole, part in checks:
             for j in range(d + 1):
-                lhs = hp_c[j]
-                rhs = hp_rest[j] + (h_lk[j - 1] if j >= 1 else 0)
-                if lhs != rhs:
-                    result["h_prime_identity"] = "fail"
-                    result["first_violation"] = {
-                        "identity": "h_prime", "vertex": str(c.labels[v]),
-                        "j": j, "lhs": lhs, "rhs": rhs,
-                    }
+                if whole[j] != part[j] + h_lk[j]:
+                    result[name + "_identity"] = "fail"
+                    result["first_violation"] = {"identity": name, "vertex": str(c.labels[v]),
+                                                 "j": j, "lhs": whole[j], "rhs": part[j] + h_lk[j]}
                     return result
     return result
 

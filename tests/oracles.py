@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to derive expected test values.
 
-The homology oracles work on plain frozensets via explicit subset closure
-and compute ranks with sympy (rationals) or a hand-rolled column-style
-modular elimination, deliberately sharing no code with the package.
+The homology oracles on facet lists work on plain frozensets via explicit
+subset closure and compute ranks with sympy (rationals) or a hand-rolled
+column-style modular elimination, deliberately sharing no code with the
+package.
 `pair_homology` gives the relative Betti numbers of a pair from the
 quotient chain complex, and the rank of H_i(a) -> H_i(c) from Betti
 numbers alone, through the long exact sequence of the pair, where the
@@ -21,7 +22,10 @@ and the m ≥ 3 sweep with `m_fold_by_rebuild`, which rebuilds each
 deletion from labelled facets and walks its links anew.
 `betti_by_full_ranks` and `relative_betti_by_full_ranks` rank every
 boundary map in full, bottom-up, where the package ranks top-down and
-skips the columns that the degree above proves zero (clearing).
+skips the columns that the degree above proves zero (clearing).  They
+build their columns themselves, over the vertex tuples of `c.faces`, and
+share with the package only the face enumeration and `sparse_rank`, as
+their point is elimination with clearing against elimination without.
 """
 
 import itertools
@@ -29,10 +33,9 @@ import itertools
 import sympy
 
 from bstar.complexes import _rebuild, components, contrastar, from_facets, link
-from bstar.homology import _boundary, _embedded_face_set, betti, betti_at, relative_betti
+from bstar.homology import _embedded_face_set, betti, betti_at, relative_betti
 from bstar.linalg import sparse_rank
-from bstar.properties import (ManifoldReport, _faces_ascending, _link_violation,
-                              is_buchsbaum)
+from bstar.properties import ManifoldReport, _link_violation, is_buchsbaum
 
 
 def closure(facets):
@@ -199,12 +202,17 @@ def connectivity_by_cuts(n, edges) -> int:
     return n - 1
 
 
+def nonempty_faces(c):
+    """The nonempty faces of c as vertex tuples, by dimension, then sorted."""
+    return [face for d in range(c.dim + 1) for face in c.faces(d)]
+
+
 def link_homology_violation(c, f, include_empty, top=None):
-    """First face, in `_faces_ascending` order, whose link fails the link
+    """First face, by dimension and then sorted, whose link fails the link
     test (see `_link_violation`); the empty face stands for the whole
     complex.  `include_empty` puts the whole complex first (CM and
     Gorenstein*); `top=1` asks for spheres (Gorenstein*)."""
-    for face in itertools.chain([()] if include_empty else [], _faces_ascending(c)):
+    for face in ([()] if include_empty else []) + nonempty_faces(c):
         why = _link_violation(betti(c if not face else link(c, face), f).betti, top)
         if why:
             where = "the whole complex" if not face else f"link of {c.describe_face(face)}"
@@ -263,7 +271,7 @@ def manifold_report_by_recursion(c, f):
     boundary_faces = set()
     ball_note = None
     closed = True
-    for face in _faces_ascending(c):
+    for face in nonempty_faces(c):
         lk = link(c, face)
         b = betti(lk, f).betti
         if _link_violation(b, top=1) is None:
@@ -291,12 +299,31 @@ def manifold_report_by_recursion(c, f):
     return ManifoldReport(True, False, bcomplex, orientable, ball_note)
 
 
+def boundary_columns(c, d, kept=lambda face: True):
+    """The boundary map from the kept d-faces of c to its kept (d-1)-faces,
+    as sparse columns over the vertex tuples of `c.faces`, dropping the
+    k-th smallest vertex with sign (-1)^k; with the two face counts."""
+    rows = {face: i for i, face in enumerate(f for f in c.faces(d - 1) if kept(f))}
+    cells = [face for face in c.faces(d) if kept(face)]
+    columns = []
+    for face in cells:
+        col = {}
+        for k in range(len(face)):
+            row = rows.get(face[:k] + face[k + 1:])
+            if row is not None:
+                col[row] = (-1) ** k
+        columns.append(col)
+    return columns, len(cells), len(rows)
+
+
 def betti_by_full_ranks(c, field):
     """Reduced Betti numbers (beta_-1, ..., beta_dim) of c, each boundary
     map built and ranked in full, from degree 0 up, with no clearing."""
-    ranks = [0] + [sparse_rank(_boundary(c, i)[0], len(c.face_masks(i - 1)), field)
-                   for i in range(0, c.dim + 1)] + [0]
-    return tuple(len(c.face_masks(i)) - ranks[i + 1] - ranks[i + 2]
+    ranks = [0] * (c.dim + 3)  # ranks[i + 1]: rank of the boundary out of the i-cells
+    for i in range(0, c.dim + 1):
+        columns, _, nrows = boundary_columns(c, i)
+        ranks[i + 1] = sparse_rank(columns, nrows, field)
+    return tuple(len(c.faces(i)) - ranks[i + 1] - ranks[i + 2]
                  for i in range(-1, c.dim + 1))
 
 
@@ -306,9 +333,9 @@ def relative_betti_by_full_ranks(c, excluded, field, i):
     if i < 0 or i > c.dim:
         return 0
 
-    def outside(m):
-        return m not in excluded
-    lower, cells, rows = _boundary(c, i, outside)
-    upper = _boundary(c, i + 1, outside)[0]
-    return (len(cells) - sparse_rank(lower, len(rows), field)
-            - sparse_rank(upper, len(cells), field))
+    def outside(face):
+        return sum(1 << v for v in face) not in excluded
+    lower, ncells, nrows = boundary_columns(c, i, outside)
+    upper = boundary_columns(c, i + 1, outside)[0]
+    return (ncells - sparse_rank(lower, nrows, field)
+            - sparse_rank(upper, ncells, field))

@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bstar.cli import main
 
@@ -346,3 +352,46 @@ def test_broken_implication_exits_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", "named:torus7", "--field", "q")
     assert code == 3 and out == ""
     assert err.startswith("internal error:") and "gorenstein*" in err
+
+
+LABELS = st.one_of(st.integers(-2, 6), st.booleans(), st.none(),
+                   st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from(["a", "b", "1", "", " ", "{", "}", "\ufeff", "x y"]))
+# facets, some holding lists, and some empty
+FACETS = st.lists(st.lists(st.one_of(LABELS, st.lists(LABELS, max_size=2)), max_size=4),
+                  max_size=5)
+TOKENS = st.sampled_from(["a", "b", "c", "1", "2", "{", "}", "[", "]", "[[1]]", ",",
+                          '"facets":', "NaN", "1e309", "\ufeff"])
+
+
+@st.composite
+def fuzzed_files(draw):
+    """(file name, text) of a complex file: JSON of fuzzed facets (NaN and
+    infinities included, an infinity sometimes written 1e309, sometimes cut
+    short) or plain text of fuzzed tokens, either with or without a
+    byte-order mark and under either suffix."""
+    if draw(st.booleans()):
+        doc = draw(st.one_of(st.fixed_dictionaries({"facets": FACETS}), FACETS, LABELS))
+        text = json.dumps(doc).replace("Infinity", draw(st.sampled_from(["Infinity", "1e309"])))
+        if draw(st.integers(0, 3)) == 0:
+            text = text[:draw(st.integers(0, len(text)))]
+    else:
+        lines = st.lists(TOKENS, max_size=4).map(" ".join)
+        text = "\n".join(draw(st.lists(lines, max_size=5)))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return "complex" + draw(st.sampled_from([".txt", ".json"])), text
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fuzzed_files())
+def test_fuzzed_files_exit_with_a_documented_code(case):
+    name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("check", "vectors", "homology"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                code = main([command, path])
+            assert code in (0, 1, 2, 3), (command, code, err.getvalue())

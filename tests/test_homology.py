@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bstar.complexes import contrastar, deletion, from_facets, join, skeleton
+from bstar.complexes import Complex, contrastar, deletion, from_facets, join, skeleton
 from bstar.constructions import (cross_polytope, example_2_10_iii, path, rp2_6,
                                  simplex, simplex_boundary, torus7)
 from bstar.homology import (betti, betti_at, contrastar_betti, inclusion_induced_is_zero,
@@ -56,11 +56,13 @@ def test_boundary_squares_to_zero(torus, octahedron):
     # (here the 1-skeleton), and the star of a vertex
     for c in (torus, octahedron, example_2_10_iii()):
         excluded = _embedded_face_set(skeleton(c, 1), c)
-        for keep in (None, lambda m: m not in excluded, lambda m: m & 1 == 1):
+        for keep in (lambda m: True, lambda m: m not in excluded, lambda m: m & 1 == 1):
+            cells = {d: [m for m in c.face_masks(d) if keep(m)] for d in range(-2, c.dim + 1)}
             for d in range(0, c.dim + 1):
-                upper, cells, mid = _boundary(c, d, keep)
-                lower, mid_again, _ = _boundary(c, d - 1, keep)
-                assert len(upper) == len(cells) and mid == mid_again
+                upper = _boundary(cells[d], cells[d - 1])
+                lower = _boundary(cells[d - 1], cells[d - 2])
+                assert len(upper) == len(cells[d]) and len(lower) == len(cells[d - 1])
+                assert all(0 <= i < len(cells[d - 1]) for col in upper for i in col)
                 for col in upper:
                     image = {}
                     for k, x in col.items():
@@ -261,6 +263,28 @@ def test_star_cycle_cache_keeps_no_complex_alive():
     del c
     gc.collect()
     assert ref() is None
+
+
+def test_star_top_cycles_enumerate_no_face(monkeypatch):
+    # the star cells are the top facets through the face, read off the
+    # facet list, so no star visits the faces of the whole complex
+    calls = []
+
+    def counting_face_masks(c, d):
+        calls.append(d)
+        return face_masks(c, d)
+
+    face_masks = Complex.face_masks
+    n = 12
+    theta = from_facets([(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+    clear_caches()
+    monkeypatch.setattr(Complex, "face_masks", counting_face_masks)
+    for v in range(n):
+        cells, kernel = homology._star_top_cycles(theta, QQ, 1 << v)
+        assert len(cells) == (3 if v in (0, n // 2) else 2)
+        assert len(kernel) == len(cells) - 1  # H_1(theta, cost v) = H~_0(lk v)
+    assert len(homology._star_top_cycles(theta, GF2, 0)[1]) == 2
+    assert calls == []
 
 
 def test_universal_coefficients_direction():

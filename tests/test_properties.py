@@ -11,7 +11,7 @@ from oracles import (buchsbaum_star_by_contrastars, link_homology_violation,
 from strategies import EDGE_CASES, complexes_up_to_7_vertices, subdivision_chains
 
 from bstar import clear_caches, homology, properties
-from bstar.complexes import cone, deletion, from_facets, link, skeleton
+from bstar.complexes import _link, cone, deletion, from_facets, skeleton
 from bstar.constructions import (bowtie, corpus, cross_polytope, cycle, example_2_10_i,
                                  example_2_10_iii, rp2_6, simplex, simplex_boundary,
                                  torus7)
@@ -259,12 +259,12 @@ def test_property_report_builds_each_link_once(monkeypatch):
     # CM, Buchsbaum, Gorenstein* and the manifold report read one link walk
     calls = []
 
-    def counting_link(c, face):
-        calls.append(c.mask(face))
-        return link(c, face)
+    def counting_link(c, s):
+        calls.append(s)
+        return _link(c, s)
 
     clear_caches()
-    monkeypatch.setattr(properties, "link", counting_link)
+    monkeypatch.setattr(properties, "_link", counting_link)
     c = cross_polytope(3)
     rep = property_report(c, QQ)
     assert rep.verdicts["gorenstein*"] and rep.verdicts["homology_manifold"]
@@ -280,10 +280,10 @@ def test_corpus_reports_match_golden_file():
     over q, gf:2 and gf:3, are those recorded in the golden file.  After a
     change that is meant to alter them, regenerate it from the repo root:
 
-        PYTHONPATH=src python -c "import json; from bstar.constructions import corpus; from bstar.linalg import FieldSpec; from bstar.properties import property_report; print(json.dumps({n: [{k: v for k, v in property_report(c, FieldSpec.parse(f)).to_jsonable().items() if k != 'timings'} for f in ('q', 'gf:2', 'gf:3')] for n, c in corpus()}, indent=2))" > tests/data/corpus_reports.json
+        PYTHONPATH=src python -c "import json; from bstar.constructions import corpus; from bstar.linalg import FieldSpec; from bstar.properties import property_report; print(json.dumps({n: [property_report(c, FieldSpec.parse(f)).to_jsonable() for f in ('q', 'gf:2', 'gf:3')] for n, c in corpus()}, indent=2))" > tests/data/corpus_reports.json
     """
-    got = {name: [{k: v for k, v in property_report(c, FieldSpec.parse(f)).to_jsonable().items()
-                   if k != "timings"} for f in ("q", "gf:2", "gf:3")]
+    got = {name: [property_report(c, FieldSpec.parse(f)).to_jsonable()
+                  for f in ("q", "gf:2", "gf:3")]
            for name, c in corpus()}
     assert got == json.loads(GOLDEN_REPORTS.read_text(encoding="utf-8"))
 
@@ -354,9 +354,9 @@ def test_relabelled_copy_reads_every_verdict_from_the_shape_memo(monkeypatch):
     # its witnesses name its own labels, and no memo keeps a complex alive
     calls = []
 
-    def counting_link(c, face):
-        calls.append(c.mask(face))
-        return link(c, face)
+    def counting_link(c, s):
+        calls.append(s)
+        return _link(c, s)
 
     clear_caches()
     lower = from_facets([("p", "a", "b"), ("p", "c", "d")])
@@ -365,7 +365,7 @@ def test_relabelled_copy_reads_every_verdict_from_the_shape_memo(monkeypatch):
     del lower
     gc.collect()
     assert ref() is None
-    monkeypatch.setattr(properties, "link", counting_link)
+    monkeypatch.setattr(properties, "_link", counting_link)
     rep = property_report(from_facets([("P", "A", "B"), ("P", "C", "D")]), QQ)
     assert calls == []
     assert rep.verdicts == first.verdicts
