@@ -84,6 +84,14 @@ def get_max_faces() -> int:
         raise ValueError(f"BSTAR_MAX_FACES {exc}") from None
 
 
+def _guard_faces(count: int) -> None:
+    """Refuse a complex of `count` faces, the empty face included, above
+    the face guard."""
+    limit = get_max_faces()
+    if count > limit:
+        raise FaceCountError(f"complex exceeds the face guard of {limit} faces")
+
+
 def _positive_int(text: str) -> int:
     """`text` as an integer of at least 1; anything else is a ValueError."""
     try:
@@ -200,9 +208,7 @@ class Complex:
                 if sub not in seen:
                     seen.add(sub)
                     if len(seen) > limit:
-                        raise FaceCountError(
-                            f"complex exceeds the face guard of {limit} faces"
-                        )
+                        _guard_faces(len(seen))
                 if sub == 0:
                     break
                 sub = (sub - 1) & facet

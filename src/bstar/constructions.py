@@ -4,6 +4,8 @@ The built-in corpus collects the complexes every verification battery and
 test in this package runs against: simplex boundaries, cross-polytopes,
 cycles and paths, the 7-vertex torus, the 6-vertex projective plane, the
 counterexample complexes, cones, stacked spheres and staircase products.
+The sized families check their face count, the empty face included,
+against the face guard before they build anything.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import Complex, _tuple_of, cone, from_facets, to_json
+from .complexes import (Complex, _guard_faces, _tuple_of, cone, from_facets, get_max_faces,
+                        to_json)
 from .homology import _embedded_face_set, _nonbounding_cycle, betti_at, first_nonbounding_cycle
 from .linalg import QQ, FieldSpec
 from .properties import is_buchsbaum_star, is_homology_manifold
+from .vectors import stacked_face_counts
 
 __all__ = [
     "named",
@@ -38,9 +42,17 @@ __all__ = [
 ]
 
 
+def _guard_power(base: int, exponent: int, less: int = 0) -> None:
+    """The face guard on base**exponent - less faces, for base ≥ 2 and
+    less ≤ 1.  Past the guard's bit length the count is over the guard
+    anyway, so the exponent is capped there and no huge power is taken."""
+    _guard_faces(base ** min(exponent, get_max_faces().bit_length() + 1) - less)
+
+
 def simplex(d: int) -> Complex:
     if d < 0:
         raise ValueError("dimension must be nonnegative")
+    _guard_power(2, d + 1)
     return from_facets([range(d + 1)])
 
 
@@ -48,6 +60,7 @@ def simplex_boundary(d: int) -> Complex:
     """Boundary of the d-simplex: a (d-1)-sphere on d+1 vertices."""
     if d < 1:
         raise ValueError("dimension must be positive")
+    _guard_power(2, d + 1, 1)
     return from_facets(itertools.combinations(range(d + 1), d))
 
 
@@ -56,6 +69,7 @@ def cross_polytope(d: int) -> Complex:
     antipodal pairs (2i, 2i+1)."""
     if d < 1:
         raise ValueError("dimension must be positive")
+    _guard_power(3, d)
     pairs = [(2 * i, 2 * i + 1) for i in range(d)]
     return from_facets(itertools.product(*pairs))
 
@@ -63,12 +77,14 @@ def cross_polytope(d: int) -> Complex:
 def cycle(n: int) -> Complex:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
+    _guard_faces(2 * n + 1)
     return from_facets([(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Complex:
     if n < 2:
         raise ValueError("a path needs at least 2 vertices")
+    _guard_faces(2 * n)
     return from_facets([(i, i + 1) for i in range(n - 1)])
 
 
@@ -130,6 +146,8 @@ def stacked_sphere(n: int, d: int) -> Complex:
     the lexicographically first facet of the simplex boundary."""
     if d < 2 or n < d + 1:
         raise ValueError("need d >= 2 and n >= d+1")
+    _guard_power(2, d + 1, 1)  # the simplex boundary first: a huge d takes no binomials
+    _guard_faces(1 + sum(stacked_face_counts(n, d)))
     facets = [tuple(fc) for fc in simplex_boundary(d).facets]
     vertex = d + 1
     while vertex < n:

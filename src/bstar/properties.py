@@ -81,8 +81,16 @@ holds when the Buchsbaum* verdict does and runs the pair projections
 buchsbaum* ⇒ doubly_buchsbaum also holds by construction, and `verify`'s
 `check_buchsbaum_star_implications` asks the pair projections instead.
 
-For m ≥ 3, and for m-fold Buchsbaum*, a sweep builds every deletion
-and decides each one in full.
+For m ≥ 3 the sweep stops one level down.  Take a nonempty set U of
+fewer than m vertices and u ∈ U: Δ − U = (Δ − (U − u)) − u, and U − u
+has fewer than m − 1 vertices.  So every deletion of fewer than m
+vertices keeps dim Δ and has P exactly when every deletion of fewer
+than m − 1 vertices keeps dim Δ and is doubly P.  `_deletion_sweep`
+builds those Σ_{k<m−1} C(n, k) deletions, c itself included without a
+build, and decides each by the m = 2 criterion above
+(`_doubly_cohen_macaulay`, `_doubly_buchsbaum`).  m-fold Buchsbaum* has
+no such criterion: its sweep builds every deletion of fewer than m
+vertices and decides each one in full.
 """
 
 from __future__ import annotations
@@ -208,14 +216,16 @@ def _guard_subsets(c: Complex, m: int) -> None:
 
 def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider) -> bool:
     """Every deletion of fewer than m vertices, c itself included, keeps
-    the dimension of c and passes `decider`, each decided in full and the
-    smallest first; guarded by the subset count.  It decides the m-fold
-    properties for m ≥ 3 and `is_m_buchsbaum_star`; the `verify` battery
-    runs it for m = 2 as the check on the projection criterion."""
+    the dimension of c and passes `decider`, the smallest first; guarded
+    by the subset count.  c itself is decided as it is, so only nonempty
+    subsets build a deletion.  `_m_fold` runs it with m − 1 and a doubly
+    criterion, `is_m_buchsbaum_star` with m and Buchsbaum*, and the
+    `verify` battery with m = 2 and the plain deciders, as the check on
+    the projection criterion."""
     _guard_subsets(c, m)
     for k in range(m):
         for subset in itertools.combinations(range(c.n_vertices), k):
-            rest = deletion(c, subset)
+            rest = deletion(c, subset) if subset else c
             if rest.dim != c.dim or not decider(rest, f):
                 return False
     return True
@@ -232,17 +242,27 @@ def _ridges_shared(c: Complex) -> bool:
     return once == twice
 
 
-def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
-    """Deletions of fewer than m vertices stay Cohen-Macaulay of the same
-    dimension (m=1 is plain Cohen-Macaulay, m=2 "doubly": CM, ridges shared
-    and Buchsbaum*, by the projection criterion of the module docstring)."""
+def _m_fold(c: Complex, f: FieldSpec, m: int, plain, doubly) -> bool:
+    """Deletions of fewer than m vertices stay `plain` of the same
+    dimension: m=1 is `plain` itself, and m ≥ 2 sweeps the deletions of
+    fewer than m − 1 vertices with the `doubly` criterion (module
+    docstring).  The guard counts the subsets that m stands for."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    if m == 2:
-        _guard_subsets(c, m)
-        return (bool(is_cohen_macaulay(c, f)) and _ridges_shared(c)
-                and bool(is_buchsbaum_star(c, f)))
-    return _deletion_sweep(c, f, m, is_cohen_macaulay)
+    _guard_subsets(c, m)
+    return _deletion_sweep(c, f, m - 1, doubly) if m > 1 else bool(plain(c, f))
+
+
+def _doubly_cohen_macaulay(c: Complex, f: FieldSpec) -> bool:
+    """Doubly CM by the projection criterion of the module docstring: CM,
+    ridges shared and Buchsbaum*."""
+    return bool(is_cohen_macaulay(c, f)) and _ridges_shared(c) and bool(is_buchsbaum_star(c, f))
+
+
+def is_m_cohen_macaulay(c: Complex, f: FieldSpec, m: int) -> bool:
+    """Deletions of fewer than m vertices stay Cohen-Macaulay of the same
+    dimension (m=1 is plain Cohen-Macaulay, m=2 "doubly"), by `_m_fold`."""
+    return _m_fold(c, f, m, is_cohen_macaulay, _doubly_cohen_macaulay)
 
 
 def is_buchsbaum(c: Complex, f: FieldSpec) -> Verdict:
@@ -263,17 +283,16 @@ def _pair_projections(c: Complex, f: FieldSpec) -> bool:
                     for bit in _bits(t)))
 
 
+def _doubly_buchsbaum(c: Complex, f: FieldSpec) -> bool:
+    """Doubly Buchsbaum: Buchsbaum* (the paper: Buchsbaum* implies doubly
+    Buchsbaum), or else the pair projections of the module docstring."""
+    return bool(is_buchsbaum_star(c, f)) or _pair_projections(c, f)
+
+
 def is_m_buchsbaum(c: Complex, f: FieldSpec, m: int) -> bool:
     """Deletions of fewer than m vertices stay Buchsbaum of the same
-    dimension.  m=2 holds when c is Buchsbaum* (the paper: Buchsbaum*
-    implies doubly Buchsbaum) and is otherwise decided by the pair
-    projections of the module docstring."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if m == 2:
-        _guard_subsets(c, m)
-        return bool(is_buchsbaum_star(c, f)) or _pair_projections(c, f)
-    return _deletion_sweep(c, f, m, is_buchsbaum)
+    dimension (m=1 is plain Buchsbaum), by `_m_fold`."""
+    return _m_fold(c, f, m, is_buchsbaum, _doubly_buchsbaum)
 
 
 def is_doubly_buchsbaum(c: Complex, f: FieldSpec) -> bool:

@@ -1,8 +1,13 @@
 """Vertex connectivity and randomized generic rigidity of graphs.
 
 Connectivity is exact: internally-disjoint path counts via unit-capacity
-max-flow on a vertex-split digraph, minimised over non-adjacent pairs
-(complete graphs are n-1 connected by convention).
+max-flow on a vertex-split digraph, from each source s = 0, 1, ... to
+every later vertex not adjacent to it, while s is below the least count
+found (complete graphs are n-1 connected by convention).  Sources
+0, ..., κ suffice: for a minimum separator S, the first vertex v_i not
+in S has i ≤ κ, every vertex before it lies in S, so a vertex of
+another component of G − S comes after v_i, is not adjacent to it, and
+carries a flow of κ.  So κ takes at most (κ + 1)·n flows.
 
 Rigidity in dimension d is decided by the rank of the bar-joint rigidity
 matrix at random integer placements.  The matrix is only ever held as its
@@ -23,6 +28,8 @@ from .complexes import Complex
 from .linalg import FieldSpec, QQ, is_prime, sparse_rank
 
 __all__ = ["Graph", "graph_of", "vertex_connectivity", "is_generically_d_rigid"]
+
+_TRIALS = 3  # random placements tried before a graph is called flexible
 
 
 @dataclass(frozen=True)
@@ -88,22 +95,20 @@ def _max_internally_disjoint(adj: list[set[int]], n: int, s: int, t: int) -> int
 
 
 def vertex_connectivity(g: Graph) -> int:
-    """Exact vertex connectivity; n-1 for complete graphs."""
+    """Exact vertex connectivity; n-1 for complete graphs.  Flows start
+    only from the first κ + 1 vertices (module docstring)."""
     if g.n < 2:
         raise ValueError("connectivity needs at least two nodes")
     adj: list[set[int]] = [set() for _ in range(g.n)]
     for a, b in g.edges:
         adj[a].add(b)
         adj[b].add(a)
-    nonadjacent = [(s, t) for s in range(g.n) for t in range(s + 1, g.n)
-                   if t not in adj[s]]
-    if not nonadjacent:
-        return g.n - 1
-    best = g.n
-    for s, t in nonadjacent:
-        best = min(best, _max_internally_disjoint(adj, g.n, s, t))
-        if best == 0:
-            return 0
+    best, s = g.n - 1, 0
+    while s < best:
+        for t in range(s + 1, g.n):
+            if t not in adj[s]:
+                best = min(best, _max_internally_disjoint(adj, g.n, s, t))
+        s += 1
     return best
 
 
@@ -130,7 +135,7 @@ def _random_prime(rng: random.Random) -> int:
             return cand
 
 
-def is_generically_d_rigid(g: Graph, d: int, trials: int = 3, seed: int = 0) -> bool:
+def is_generically_d_rigid(g: Graph, d: int, seed: int = 0) -> bool:
     """Randomized generic d-rigidity test.
 
     Rigid iff some trial placement achieves rank d*n - C(d+1,2)
@@ -147,7 +152,7 @@ def is_generically_d_rigid(g: Graph, d: int, trials: int = 3, seed: int = 0) -> 
     if len(g.edges) < target:
         return False
     rng = random.Random(seed)
-    for _ in range(max(1, trials)):
+    for _ in range(_TRIALS):
         placement = [tuple(rng.randrange(-2**31, 2**31) for _ in range(d))
                      for _ in range(n)]
         columns = _rigidity_columns(placement, g.edges, d)

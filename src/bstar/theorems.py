@@ -19,7 +19,6 @@ construction and of `relative_betti`'s label matching.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
@@ -29,7 +28,7 @@ from .constructions import (EarDecomposition, corpus, cross_polytope, example_2_
                             example_2_10_iii, from_facets, named, path, product,
                             simplex_boundary, stacked_sphere, torus7,
                             verify_ear_decomposition)
-from .homology import (betti, betti_at, contrastar_betti, reduced_euler_characteristic,
+from .homology import (_shapes, betti, betti_at, contrastar_betti, reduced_euler_characteristic,
                        relative_betti, relative_surjectivity, top_projection_surjective)
 from .linalg import DEFAULT_FIELDS, GF2, QQ
 from .properties import (_deletion_sweep, _pair_projections, _projection_violation,
@@ -66,13 +65,21 @@ def _buchsbaum_star_entries(entries, fields):
 # -- individual checks --------------------------------------------------
 
 
+def _memoised() -> int:
+    """The results held in the memo table, over every shape."""
+    return sum(map(len, _shapes.values()))
+
+
 def check_counterexample_fidelity(entries, fields) -> TheoremResult:
-    """The two doubly-Buchsbaum-but-not-Buchsbaum* corpus complexes."""
+    """The two doubly-Buchsbaum-but-not-Buchsbaum* corpus complexes.  Each
+    block's work is bounded by the results it adds to the memo table: 18
+    and 70 per field from empty, so the bounds keep a 2x margin and the
+    verdict does not depend on the clock."""
     r = TheoremResult("counterexample_fidelity", True)
     ex1 = example_2_10_i()
     ex3 = example_2_10_iii()
     for f in (QQ, GF2):
-        t0 = time.perf_counter()
+        before = _memoised()
         if not is_buchsbaum(ex1, f):
             r.fail(f"example_2_10_i not Buchsbaum over {f}")
         if not is_doubly_buchsbaum(ex1, f):
@@ -80,10 +87,10 @@ def check_counterexample_fidelity(entries, fields) -> TheoremResult:
         v = is_buchsbaum_star(ex1, f)
         if v or "vertex p" not in (v.witness or ""):
             r.fail(f"example_2_10_i Buchsbaum* verdict/witness wrong over {f}: {v}")
-        elapsed = time.perf_counter() - t0
-        if elapsed >= 1.0:
-            r.fail(f"example_2_10_i checks took {elapsed:.2f}s over {f}")
-        t0 = time.perf_counter()
+        added = _memoised() - before
+        if added > 36:
+            r.fail(f"example_2_10_i checks memoised {added} results over {f}, above 36")
+        before = _memoised()
         if betti_at(ex3, f, 1) != 1:
             r.fail(f"example_2_10_iii beta_1 != 1 over {f}")
         top_costs = [betti_at(contrastar(ex3, fc), f, 1) for fc in ex3.faces(2)]
@@ -93,9 +100,9 @@ def check_counterexample_fidelity(entries, fields) -> TheoremResult:
             r.fail(f"example_2_10_iii not doubly Buchsbaum over {f}")
         if is_buchsbaum_star(ex3, f):
             r.fail(f"example_2_10_iii unexpectedly Buchsbaum* over {f}")
-        elapsed = time.perf_counter() - t0
-        if elapsed >= 1.0:
-            r.fail(f"example_2_10_iii checks took {elapsed:.2f}s over {f}")
+        added = _memoised() - before
+        if added > 140:
+            r.fail(f"example_2_10_iii checks memoised {added} results over {f}, above 140")
     return r
 
 
@@ -425,7 +432,10 @@ def check_ear_verifier(entries, fields) -> TheoremResult:
 
 def check_m_hierarchy(entries, fields) -> TheoremResult:
     """On the octahedron (a CM complex), m-Buchsbaum* coincides with
-    (m+1)-Cohen-Macaulay for m in 0..2, both sides evaluated directly."""
+    (m+1)-Cohen-Macaulay for m in 0..2.  The two sides are not
+    independent: (m+1)-CM sweeps the doubly CM criterion, which reads the
+    Buchsbaum* decider, at its leaves, as m-Buchsbaum* does.  The
+    independent comparison is `m_fold_by_rebuild` in the tests."""
     r = TheoremResult("m_hierarchy_cross_polytope", True)
     c = cross_polytope(3)
     for f in fields:

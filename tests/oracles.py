@@ -18,8 +18,11 @@ rebuilding every contrastar, where the package projects top cycles; and
 deciding each ball-like link as a manifold in turn, where the package
 tests each link once.  The m-fold projection deciders are compared with
 `properties._deletion_sweep`, which builds and decides every deletion,
-and the m ≥ 3 sweep with `m_fold_by_rebuild`, which rebuilds each
-deletion from labelled facets and walks its links anew.
+and the m ≥ 3 deciders, which sweep the doubly criteria one level
+down, with `m_fold_by_rebuild`, which rebuilds every deletion of fewer
+than m vertices from labelled facets and walks its links anew.
+`connectivity_by_all_pairs` runs the package's flow on every
+nonadjacent pair, where the package stops after the first κ + 1 sources.
 `betti_by_full_ranks` and `relative_betti_by_full_ranks` rank every
 boundary map in full, bottom-up, where the package ranks top-down and
 skips the columns that the degree above proves zero (clearing).  They
@@ -36,6 +39,7 @@ from bstar.complexes import _rebuild, components, contrastar, from_facets, link
 from bstar.homology import _embedded_face_set, betti, betti_at, relative_betti
 from bstar.linalg import sparse_rank
 from bstar.properties import ManifoldReport, _link_violation, is_buchsbaum
+from bstar.rigidity import _max_internally_disjoint
 
 
 def closure(facets):
@@ -200,6 +204,20 @@ def connectivity_by_cuts(n, edges) -> int:
             if not connected(set(cut)):
                 return k
     return n - 1
+
+
+def connectivity_by_all_pairs(g) -> int:
+    """Vertex connectivity as the least Menger count over every
+    nonadjacent pair, n - 1 for a complete graph.  It shares the flow,
+    `rigidity._max_internally_disjoint`, with the package, which runs it
+    from the first κ + 1 vertices only: the loop bound is what it checks."""
+    adj = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    counts = [_max_internally_disjoint(adj, g.n, s, t)
+              for s, t in itertools.combinations(range(g.n), 2) if t not in adj[s]]
+    return min(counts, default=g.n - 1)
 
 
 def nonempty_faces(c):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bstar.cli import main
+from bstar.complexes import get_max_faces
 
 
 def run_cli(capsys, *argv):
@@ -319,6 +320,18 @@ def test_max_faces_guard(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "homology", str(p), "--max-faces", "100")
     assert code == 2
     assert "guard" in err
+
+
+def test_sized_named_complexes_check_the_face_guard_before_building(capsys, tmp_path):
+    # 3^40 faces: refused from the count, before any facet is listed
+    code, out, err = run_cli(capsys, "check", "named:cross_polytope:40")
+    assert code == 2 and out == ""
+    assert err == f"error: complex exceeds the face guard of {get_max_faces()} faces\n"
+    target = tmp_path / "out.json"
+    code, _, err = run_cli(capsys, "construct", "named:cross_polytope:8", str(target),
+                           "--max-faces", "1000")
+    assert code == 2 and "face guard of 1000 faces" in err
+    assert not target.exists()
 
 
 def test_guards_do_not_outlive_the_command(capsys):

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from bstar.complexes import from_facets, to_json
-from bstar.constructions import (EarDecomposition, corpus, cross_polytope,
+from bstar import complexes, constructions
+from bstar.complexes import FaceCountError, from_facets, set_max_faces, to_json
+from bstar.constructions import (EarDecomposition, corpus, cross_polytope, cycle,
                                  example_2_10_iii, export_corpus, named, path,
-                                 product, simplex_boundary, stacked_sphere,
+                                 product, simplex, simplex_boundary, stacked_sphere,
                                  torus7, verify_ear_decomposition)
 from bstar.homology import betti, betti_at
 from bstar.linalg import GF2, QQ, FieldSpec
@@ -25,6 +26,23 @@ def test_named_lookup():
     assert named("bowtie").f_vector() == (1, 5, 6, 2)
     with pytest.raises(ValueError):
         named("klein_bottle")
+
+
+@pytest.mark.parametrize("build, arg", [
+    (simplex, 4), (simplex_boundary, 4), (cross_polytope, 4), (cycle, 9), (path, 7),
+    (lambda n: stacked_sphere(n, 3), 9), (lambda n: stacked_sphere(n, 4), 12),
+], ids=["simplex", "simplex_boundary", "cross_polytope", "cycle", "path", "stacked_3", "stacked_4"])
+def test_sized_families_guard_their_exact_face_count(monkeypatch, build, arg):
+    # the count, empty face included, is checked before the facets are
+    # listed: a guard of exactly that many faces builds, one less refuses
+    monkeypatch.setattr(complexes, "_max_faces", complexes._max_faces)
+    total = sum(build(arg).f_vector())
+    set_max_faces(total)
+    assert sum(build(arg).f_vector()) == total
+    set_max_faces(total - 1)
+    monkeypatch.setattr(constructions, "from_facets", None)  # nothing is built
+    with pytest.raises(FaceCountError, match=f"face guard of {total - 1} faces"):
+        build(arg)
 
 
 def test_cross_polytope_counts():

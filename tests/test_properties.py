@@ -14,7 +14,7 @@ from bstar import clear_caches, homology, properties
 from bstar.complexes import _link, cone, deletion, from_facets, skeleton
 from bstar.constructions import (bowtie, corpus, cross_polytope, cycle, example_2_10_i,
                                  example_2_10_iii, rp2_6, simplex, simplex_boundary,
-                                 torus7)
+                                 stacked_sphere, torus7)
 from bstar.homology import betti
 from bstar.linalg import GF2, QQ, FieldSpec
 from bstar.properties import (ManifoldReport, is_buchsbaum, is_buchsbaum_star,
@@ -114,8 +114,9 @@ def test_m_fold_deciders_match_full_rebuild_sweep(c):
 @settings(max_examples=150, deadline=None)
 def test_m3_deciders_match_deletions_rebuilt_from_facets(c):
     for f in (QQ, GF2, FieldSpec(3)):
-        assert is_m_cohen_macaulay(c, f, 3) == m_fold_by_rebuild(c, f, 3, cm=True)
-        assert is_m_buchsbaum(c, f, 3) == m_fold_by_rebuild(c, f, 3, cm=False)
+        for m in (3, 4):
+            assert is_m_cohen_macaulay(c, f, m) == m_fold_by_rebuild(c, f, m, cm=True)
+            assert is_m_buchsbaum(c, f, m) == m_fold_by_rebuild(c, f, m, cm=False)
 
 
 def test_property_report_builds_no_deletion(monkeypatch):
@@ -131,6 +132,23 @@ def test_property_report_builds_no_deletion(monkeypatch):
     rep = property_report(cycle(64), QQ)
     assert rep.verdicts["doubly_cohen_macaulay"] and rep.verdicts["doubly_buchsbaum"]
     assert calls == []
+
+
+@pytest.mark.parametrize("decider", [is_m_cohen_macaulay, is_m_buchsbaum])
+def test_m3_deciders_build_only_one_vertex_deletions(monkeypatch, decider):
+    # 3-fold P is the 2-fold sweep of doubly P: c itself and its n
+    # one-vertex deletions, each decided by projections; G(20) is the
+    # 1-skeleton of a stacked 2-sphere, a 3-connected planar graph
+    calls = []
+
+    def counting_deletion(c, vertices):
+        calls.append(vertices)
+        return deletion(c, vertices)
+
+    clear_caches()
+    monkeypatch.setattr(properties, "deletion", counting_deletion)
+    assert decider(skeleton(stacked_sphere(20, 3), 1), QQ, 3)
+    assert sorted(calls) == [(v,) for v in range(20)]
 
 
 def test_property_report_projects_once_per_face(monkeypatch):

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 import sympy
 
 from bstar import rigidity
-from bstar.constructions import cross_polytope, path, simplex_boundary
+from bstar.constructions import cross_polytope, cycle, path, simplex_boundary
 from bstar.linalg import GF2, QQ, FieldSpec, sparse_rank
 from bstar.rigidity import (Graph, _rigidity_columns, graph_of, is_generically_d_rigid,
                             vertex_connectivity)
-from oracles import connectivity_by_cuts, rank_modular
+from oracles import connectivity_by_all_pairs, connectivity_by_cuts, rank_modular
 
 
 def complete_graph(n):
@@ -47,8 +47,8 @@ def test_connectivity_matches_cut_oracle(torus):
 
 
 @st.composite
-def graphs_up_to_8_vertices(draw):
-    n = draw(st.integers(2, 8))
+def graphs_up_to(draw, max_n):
+    n = draw(st.integers(2, max_n))
     kind = draw(st.sampled_from(["complete", "random", "split"]))
     if kind == "complete":
         return complete_graph(n)
@@ -59,10 +59,31 @@ def graphs_up_to_8_vertices(draw):
     return Graph(n, frozenset(edges))
 
 
-@given(graphs_up_to_8_vertices())
+@given(graphs_up_to(8))
 @settings(max_examples=200, deadline=None)
 def test_connectivity_matches_cut_oracle_on_random_graphs(g):
     assert vertex_connectivity(g) == connectivity_by_cuts(g.n, g.edges)
+
+
+@given(graphs_up_to(14))
+@settings(max_examples=200, deadline=None)
+def test_connectivity_matches_all_pairs_oracle_on_random_graphs(g):
+    assert vertex_connectivity(g) == connectivity_by_all_pairs(g)
+
+
+def test_connectivity_flows_start_from_the_first_kappa_plus_one_vertices(monkeypatch):
+    # a 60-cycle has κ = 2: sources 0, 1, 2 only, each with at most 59
+    # targets, where every nonadjacent pair would run 1,710 flows
+    sources = []
+
+    def counting_flow(adj, n, s, t):
+        sources.append(s)
+        return flow(adj, n, s, t)
+
+    flow = rigidity._max_internally_disjoint
+    monkeypatch.setattr(rigidity, "_max_internally_disjoint", counting_flow)
+    assert vertex_connectivity(graph_of(cycle(60))) == 2
+    assert set(sources) <= {0, 1, 2} and len(sources) <= 3 * 59
 
 
 def test_connectivity_requires_two_nodes():
