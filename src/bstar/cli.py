@@ -8,6 +8,11 @@ All output is key-sorted JSON by default; verdicts are data, so `check`
 exits 0 even for complexes failing every property.  Exit code 2 signals
 unusable input or an exceeded guard, exit 1 a failed verification run,
 and exit 3 a failed internal consistency check (a bug in the library).
+
+A command imports only the modules it runs: this module loads
+`complexes`, `homology`, `linalg` and `properties`; `constructions` is
+imported for a "named:" input and by `construct`, `vectors` by `vectors`,
+and `theorems` (with `vectors` and `rigidity`) by `verify`.
 """
 
 from __future__ import annotations
@@ -18,13 +23,9 @@ import sys
 
 from . import complexes, properties
 from .complexes import Complex, FaceCountError, cone, join, parse, skeleton, to_json
-from .constructions import (corpus, export_corpus, named, product,
-                            stacked_sphere)
 from .homology import betti
 from .linalg import DEFAULT_FIELDS, FieldSpec, LinalgGuardError
 from .properties import ConsistencyError, SubsetGuardError, property_report
-from .theorems import run_battery
-from .vectors import face_vectors
 
 _MAX_SAFE_INT = 2**53
 
@@ -79,6 +80,8 @@ def _read_complex_file(path: str) -> Complex:
 
 def _load_complex(source: str) -> Complex:
     if source.startswith("named:"):
+        from .constructions import named
+
         return named(source[len("named:"):])
     return _read_complex_file(source)
 
@@ -112,14 +115,21 @@ def _complex_summary(c: Complex) -> dict:
     }
 
 
+def _vectors_report(c: Complex, f: FieldSpec) -> dict:
+    from .vectors import face_vectors
+
+    return face_vectors(c, f).to_jsonable()
+
+
 # The per-field commands: name, help, output key, and one field's report.
-# The lambdas look up property_report, face_vectors and betti in this
-# module's globals when called, where bench/spans.py's tracer patches them.
+# Each report looks up property_report, face_vectors or betti when it is
+# called.  bench/spans.py's tracer imports every module and then patches
+# module attributes, this module's globals among them, so a name looked
+# up or imported at call time goes through the tracer's wrapper.
 _PER_FIELD = (
     ("check", "decide the property hierarchy", "reports",
      lambda c, f: property_report(c, f).to_jsonable()),
-    ("vectors", "f/h/h'/h''/g vectors", "vectors",
-     lambda c, f: face_vectors(c, f).to_jsonable()),
+    ("vectors", "f/h/h'/h''/g vectors", "vectors", _vectors_report),
     ("homology", "reduced Betti numbers", "homology",
      lambda c, f: {"field": str(f), "betti": list(betti(c, f).betti)}),
 )
@@ -133,6 +143,8 @@ def cmd_per_field(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .constructions import export_corpus, named, product, stacked_sphere
+
     kind = args.recipe[0]
     rest = args.recipe[1:]
     if kind == "corpus":
@@ -158,14 +170,20 @@ def cmd_construct(args) -> int:
         c = named(kind[len("named:"):])
     else:
         raise ValueError(f"unrecognised construct recipe: {' '.join(args.recipe)}")
+    # the summary enumerates the faces under the face guard: no file is
+    # written for a complex that fails it
+    summary = _complex_summary(c)
     text = to_json(c) + "\n"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
-    _emit({"written": out, "complex": _complex_summary(c)}, args.format)
+    _emit({"written": out, "complex": summary}, args.format)
     return 0
 
 
 def cmd_verify(args) -> int:
+    from .constructions import corpus
+    from .theorems import run_battery
+
     fields = _fields(args)
     broken = []
     if args.builtin or not args.corpus:

@@ -38,7 +38,7 @@ import itertools
 import json
 import os
 from functools import cached_property
-from typing import Hashable, Iterable
+from collections.abc import Hashable, Iterable
 
 __all__ = [
     "Complex",

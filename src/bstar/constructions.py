@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexes import (Complex, _guard_faces, _tuple_of, cone, from_facets, get_max_faces,
                         to_json)
 from .homology import _embedded_face_set, _nonbounding_cycle, betti_at, first_nonbounding_cycle
 from .linalg import QQ, FieldSpec
-from .properties import is_buchsbaum_star, is_homology_manifold
-from .vectors import stacked_face_counts
 
 __all__ = [
     "named",
@@ -146,6 +143,8 @@ def stacked_sphere(n: int, d: int) -> Complex:
     the lexicographically first facet of the simplex boundary."""
     if d < 2 or n < d + 1:
         raise ValueError("need d >= 2 and n >= d+1")
+    from .vectors import stacked_face_counts
+
     _guard_power(2, d + 1, 1)  # the simplex boundary first: a huge d takes no binomials
     _guard_faces(1 + sum(stacked_face_counts(n, d)))
     facets = [tuple(fc) for fc in simplex_boundary(d).facets]
@@ -263,23 +262,28 @@ def _octahedron_with_membrane() -> Complex:
 # -- generalized ear decompositions ------------------------------------
 
 
-@dataclass(frozen=True)
 class EarDecomposition:
     """Ordered pieces, each a subcomplex of a common ambient complex
     (matched by vertex labels)."""
 
-    pieces: tuple[Complex, ...]
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: tuple[Complex, ...]):
+        self.pieces = pieces
 
 
-@dataclass
 class EarReport:
-    union_ok: bool
-    base_ok: bool
-    base_detail: str
-    ears: list[dict]
-    hypotheses_ok: bool
-    ambient_buchsbaum_star: bool | None
-    consistent: bool
+    """`verify_ear_decomposition`'s findings, hypothesis by hypothesis."""
+
+    def __init__(self, union_ok: bool, base_ok: bool, base_detail: str, ears: list[dict],
+                 hypotheses_ok: bool, ambient_buchsbaum_star: bool | None, consistent: bool):
+        self.union_ok = union_ok
+        self.base_ok = base_ok
+        self.base_detail = base_detail
+        self.ears = ears
+        self.hypotheses_ok = hypotheses_ok
+        self.ambient_buchsbaum_star = ambient_buchsbaum_star
+        self.consistent = consistent
 
     def to_jsonable(self) -> dict:
         return {
@@ -306,6 +310,8 @@ def verify_ear_decomposition(ambient: Complex, decomposition, field: FieldSpec) 
     inconsistency (`consistent=False`), which callers should treat as a
     bug, never as a mathematical discovery.
     """
+    from .properties import is_buchsbaum_star, is_homology_manifold
+
     pieces = tuple(decomposition.pieces) if isinstance(decomposition, EarDecomposition) \
         else tuple(decomposition)
     if not pieces:

@@ -37,7 +37,6 @@ are left.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .complexes import Complex, _bits, _contrastar_mask, _mask_of, _tuple_of
 from .linalg import FieldSpec, sparse_in_span, sparse_nullspace, sparse_pivots, sparse_rank
@@ -56,12 +55,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BettiTable:
     """Reduced Betti numbers beta_{-1}, beta_0, ..., beta_dim."""
 
-    field: FieldSpec
-    betti: tuple[int, ...]
+    __slots__ = ("field", "betti")
+
+    def __init__(self, field: FieldSpec, betti: tuple[int, ...]):
+        self.field = field
+        self.betti = betti
+
+    def __eq__(self, other):
+        if other.__class__ is not BettiTable:
+            return NotImplemented
+        return self.field == other.field and self.betti == other.betti
 
     def at(self, i: int) -> int:
         if -1 <= i <= len(self.betti) - 2:

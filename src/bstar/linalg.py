@@ -43,8 +43,6 @@ vector against the matrix before returning it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
@@ -101,18 +99,30 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: the rationals (``p is None``) or GF(p)."""
+    """Coefficient field: the rationals (``p is None``) or GF(p).
 
-    p: int | None = None
+    Equal fields are equal values, ``FieldSpec(2) == GF2``.  Every memo
+    lookup hashes one, so the hash is computed once, here."""
 
-    def __post_init__(self):
-        if self.p is not None:
-            if not (2 <= self.p < 2**31):
-                raise ValueError(f"field characteristic out of range: {self.p}")
-            if not is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
+    __slots__ = ("p", "_hash")
+
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if not (2 <= p < 2**31):
+                raise ValueError(f"field characteristic out of range: {p}")
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        self.p = p
+        self._hash = hash(p)
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
@@ -144,8 +154,10 @@ def _check_cells(nrows: int, ncols: int) -> None:
 
 def _residue(x, p: int) -> int:
     """x mod p; a Fraction a/b is a times the inverse of b."""
-    if type(x) is int:  # the common case, without the ABC check below
+    if type(x) is int:  # the common case, without the import and ABC check below
         return x % p
+    from fractions import Fraction
+
     if isinstance(x, Fraction):
         if x.denominator % p == 0:
             raise ValueError(f"{x} has no residue mod {p}")
@@ -172,7 +184,7 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
             # Clearing the denominators scales column j, so its record
             # starts at that scale and stays relative to the given column.
             for x in entries.values():
-                if type(x) is not int and isinstance(x, Fraction):
+                if type(x) is not int:  # a Fraction; an int subclass has denominator 1
                     scale = lcm(scale, x.denominator)
             col = {i: int(x * scale) for i, x in entries.items() if x}
         else:
@@ -239,6 +251,8 @@ def sparse_nullspace(columns, nrows: int, field: FieldSpec) -> list[dict]:
     rationals and residues over GF(p).  Each is checked to annihilate
     `columns`."""
     p = field.p
+    if p is None:
+        from fractions import Fraction
     basis = []
     for j, rec in _reduce(columns, nrows, p, record=True)[1]:
         image: dict[int, int] = {}

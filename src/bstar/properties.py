@@ -96,7 +96,6 @@ vertices and decides each one in full.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from math import comb
 
 from .complexes import Complex, _bits, _link, _rebuild, _tuple_of, deletion
@@ -142,10 +141,17 @@ def set_max_subsets(n: int) -> None:
     _max_subsets = int(n)
 
 
-@dataclass(frozen=True)
 class Verdict:
-    ok: bool
-    witness: str | None = None
+    """A decider's answer, true or false, and why it fails."""
+
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: str | None = None):
+        self.ok = ok
+        self.witness = witness
+
+    def __repr__(self) -> str:
+        return f"Verdict(ok={self.ok!r}, witness={self.witness!r})"
 
     def __bool__(self) -> bool:
         return self.ok
@@ -355,13 +361,25 @@ def is_gorenstein_star(c: Complex, f: FieldSpec) -> bool:
     return not _link_violation(betti(c, f).betti, 1) and _links_are_spheres(c, f)
 
 
-@dataclass(frozen=True)
 class ManifoldReport:
-    manifold: bool
-    closed: bool
-    boundary: Complex | None
-    orientable: bool
-    witness: str | None = None
+    """`is_homology_manifold`'s answer; `boundary` is the boundary
+    complex of a manifold with boundary, else None."""
+
+    __slots__ = ("manifold", "closed", "boundary", "orientable", "witness")
+
+    def __init__(self, manifold: bool, closed: bool, boundary: Complex | None,
+                 orientable: bool, witness: str | None = None):
+        self.manifold = manifold
+        self.closed = closed
+        self.boundary = boundary
+        self.orientable = orientable
+        self.witness = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not ManifoldReport:
+            return NotImplemented
+        return (self.manifold, self.closed, self.boundary, self.orientable, self.witness) \
+            == (other.manifold, other.closed, other.boundary, other.orientable, other.witness)
 
 
 def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
@@ -415,11 +433,13 @@ def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
     return ManifoldReport(True, False, _rebuild(boundary_faces, c), orientable, ball_note)
 
 
-@dataclass
 class PropertyReport:
-    field: FieldSpec
-    verdicts: dict = dc_field(default_factory=dict)
-    witnesses: dict = dc_field(default_factory=dict)
+    """`property_report`'s verdicts and witnesses over one field."""
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.verdicts: dict = {}
+        self.witnesses: dict = {}
 
     def to_jsonable(self) -> dict:
         return {

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 
 from .complexes import Complex
 from .linalg import FieldSpec, QQ, is_prime, sparse_rank
@@ -32,19 +31,21 @@ __all__ = ["Graph", "graph_of", "vertex_connectivity", "is_generically_d_rigid"]
 _TRIALS = 3  # random placements tried before a graph is called flexible
 
 
-@dataclass(frozen=True)
 class Graph:
-    n: int
-    edges: frozenset[tuple[int, int]]
+    """A simple graph on the vertices 0, ..., n-1; each edge a sorted pair."""
 
-    def __post_init__(self):
-        for a, b in self.edges:
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        for a, b in edges:
             if a == b:
                 raise ValueError("loops are not allowed")
-            if not (0 <= a < self.n and 0 <= b < self.n):
+            if not (0 <= a < n and 0 <= b < n):
                 raise ValueError("edge endpoint out of range")
             if a > b:
                 raise ValueError("edges must be sorted pairs")
+        self.n = n
+        self.edges = edges
 
 
 def graph_of(c: Complex) -> Graph:

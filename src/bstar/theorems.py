@@ -19,7 +19,6 @@ construction and of `relative_betti`'s label matching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
 
@@ -41,11 +40,13 @@ from .vectors import (conjecture_probe, deletion_identity_check, face_vectors,
                       stacked_face_counts)
 
 
-@dataclass
 class TheoremResult:
-    name: str
-    passed: bool
-    details: list[str] = dc_field(default_factory=list)
+    """One check's verdict and its notes, failures included."""
+
+    def __init__(self, name: str, passed: bool):
+        self.name = name
+        self.passed = passed
+        self.details: list[str] = []
 
     def fail(self, msg: str):
         self.passed = False

@@ -9,7 +9,6 @@ differences, recorded up to floor(d/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .complexes import Complex, is_flag, link, deletion
@@ -66,17 +65,25 @@ def _g_of(h: tuple[int, ...], d: int) -> tuple[int, ...]:
     return tuple([1] + [h[i] - h[i - 1] for i in range(1, d // 2 + 1)])
 
 
-@dataclass(frozen=True)
 class FaceVectorBundle:
-    field: FieldSpec
-    f: tuple[int, ...]
-    h: tuple[int, ...]
-    h_prime: tuple[int, ...]
-    h_double_prime: tuple[int, ...]
-    g: tuple[int, ...]
-    g_prime: tuple[int, ...]
-    g_double_prime: tuple[int, ...]
-    betti: BettiTable
+    """The face vectors of one complex over one field, with its Betti table."""
+
+    __slots__ = ("field", "f", "h", "h_prime", "h_double_prime", "g", "g_prime",
+                 "g_double_prime", "betti")
+
+    def __init__(self, field: FieldSpec, f: tuple[int, ...], h: tuple[int, ...],
+                 h_prime: tuple[int, ...], h_double_prime: tuple[int, ...],
+                 g: tuple[int, ...], g_prime: tuple[int, ...],
+                 g_double_prime: tuple[int, ...], betti: BettiTable):
+        self.field = field
+        self.f = f
+        self.h = h
+        self.h_prime = h_prime
+        self.h_double_prime = h_double_prime
+        self.g = g
+        self.g_prime = g_prime
+        self.g_double_prime = g_double_prime
+        self.betti = betti
 
     def to_jsonable(self) -> dict:
         return {

@@ -26,10 +26,17 @@ MODULES = ("cli", "complexes", "constructions", "homology", "linalg", "propertie
 
 
 def test_public_names_of_the_package():
+    # the package resolves its names on first use, so they are read from
+    # __all__ and dir(), not from the names resolved so far
+    assert set(bstar.__all__) == PUBLIC
     # submodules become attributes of the package as they are imported
-    names = {name for name, value in vars(bstar).items()
-             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert names == PUBLIC
+    listed = {name for name in dir(bstar) if not name.startswith("_")
+              and not isinstance(getattr(bstar, name), types.ModuleType)}
+    assert listed == PUBLIC
+    for name in PUBLIC:
+        value = getattr(bstar, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("bstar.") and vars(home)[name] is value, name
 
 
 def test_every_exported_name_exists():

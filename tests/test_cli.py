@@ -334,6 +334,18 @@ def test_sized_named_complexes_check_the_face_guard_before_building(capsys, tmp_
     assert not target.exists()
 
 
+@pytest.mark.parametrize("recipe", [("cone", "named:cross_polytope:4"),
+                                    ("join", "named:cross_polytope:4", "named:s0")])
+def test_construct_writes_no_file_over_the_face_guard(capsys, tmp_path, recipe):
+    # the 81 faces of cross_polytope:4 pass the guard; the 162 of its cone,
+    # and of its suspension, fail it once built
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "construct", *recipe, str(target), "--max-faces", "100")
+    assert code == 2 and out == ""
+    assert err == "error: complex exceeds the face guard of 100 faces\n"
+    assert not target.exists()
+
+
 def test_guards_do_not_outlive_the_command(capsys):
     from bstar import clear_caches, complexes, properties
 
