@@ -17,6 +17,16 @@ Costs follow the faces, never the vertex subsets.  Purity
 extending each face with its common neighbours: O(faces x degree).
 `components` joins the vertices along the edges with a union-find.
 
+A complex keeps the facets through each vertex (`Complex._through`, the
+map `_maximal` builds, here in facet order), made on first use.  A face
+lies in a facet only if that facet passes through the face's lowest
+vertex, so `has_mask` and `_link` scan only those facets, as does the
+star of `homology._star_top_cycles`.  A link needs no `_maximal` and no
+sort: for the facets G through a face F the sets G − F are already an
+antichain in facet order, and `_rebuild` only reindexes them.
+`deletion`, `contrastar`, `skeleton` and `components` scan the whole
+facet list, as their results do.
+
 Serialization writes labels as strings, so `to_json` and `to_text`
 refuse a complex in which two vertices' labels print alike (1 and "1"),
 as parsing the output back would merge them.  `to_text` also refuses a
@@ -230,8 +240,22 @@ class Complex:
         return tuple([1] + [len(self._faces_by_dim.get(d, []))
                             for d in range(0, self.dim + 1)])
 
+    @cached_property
+    def _through(self) -> dict[int, list[int]]:
+        """The facet index: the facets through each vertex, keyed by its
+        one-vertex mask, in facet order (the map `_maximal` builds)."""
+        through: dict[int, list[int]] = {}
+        for g in self._facet_masks:
+            rest = g
+            while rest:
+                bit = rest & -rest
+                through.setdefault(bit, []).append(g)
+                rest ^= bit
+        return through
+
     def has_mask(self, mask: int) -> bool:
-        return any(mask & f == mask for f in self._facet_masks)
+        """Whether `mask` is a face: inside a facet through its lowest vertex."""
+        return not mask or any(mask & g == mask for g in self._through.get(mask & -mask, ()))
 
     def is_face(self, face: Iterable[int]) -> bool:
         return self.has_mask(_mask_of(face))
@@ -288,19 +312,42 @@ def from_facets(facet_list: Iterable[Iterable[Hashable]]) -> Complex:
     return Complex(masks, len(labels), labels)
 
 
-def _rebuild(masks: Iterable[int], parent: Complex) -> Complex:
-    """Reindex `masks` densely and inherit parent labels; `Complex` keeps
-    the maximal ones, as reindexing keeps inclusions and the union."""
-    masks = set(masks)
+def _shaped(masks: tuple[int, ...], n_vertices: int,
+            labels: tuple[Hashable, ...] | None = None) -> Complex:
+    """The complex of a shape: facet masks that are already maximal, cover
+    the n vertices and are in facet order, so nothing is checked."""
+    c = Complex.__new__(Complex)
+    c.n_vertices = n_vertices
+    c.labels = tuple(range(n_vertices)) if labels is None else labels
+    c._facet_masks = masks
+    c._hash = hash((n_vertices, masks))
+    return c
+
+
+def _rebuild(masks: Iterable[int], parent: Complex, antichain: bool = False) -> Complex:
+    """Reindex `masks` densely, by a map from old to new vertex bits, and
+    inherit parent labels.  `Complex` keeps the maximal ones, as
+    reindexing keeps inclusions and the union; a list that is an
+    `antichain` of distinct masks in facet order is kept as it is, since
+    reindexing keeps the order of vertices and so the facet order."""
+    if not antichain:
+        masks = set(masks)
     union = 0
     for m in masks:
         union |= m
-    old = _tuple_of(union)
-    remap = {v: i for i, v in enumerate(old)}
+    remap = {bit: 1 << i for i, bit in enumerate(_bits(union))}
     new_masks = []
     for m in masks:
-        new_masks.append(_mask_of(remap[v] for v in _tuple_of(m)))
-    return Complex(new_masks, len(old), tuple(parent.labels[v] for v in old))
+        new = 0
+        while m:
+            bit = m & -m
+            new |= remap[bit]
+            m ^= bit
+        new_masks.append(new)
+    labels = tuple(parent.labels[bit.bit_length() - 1] for bit in remap)
+    if antichain:
+        return _shaped(tuple(new_masks), len(remap), labels)
+    return Complex(new_masks, len(remap), labels)
 
 
 def link(c: Complex, face: Iterable[int]) -> Complex:
@@ -309,13 +356,16 @@ def link(c: Complex, face: Iterable[int]) -> Complex:
 
 
 def _link(c: Complex, s: int) -> Complex:
-    """The link of the face with mask `s` (see `link`)."""
+    """The link of the face with mask `s` (see `link`), from the facets G
+    through its lowest vertex: the sets G − s for G ⊇ s are an antichain,
+    in the facet order of the G, as removing s changes neither the sizes'
+    order nor the least vertex in which two facets differ."""
     if s == 0:
         return c
-    masks = [f & ~s for f in c._facet_masks if f & s == s]
+    masks = [g ^ s for g in c._through.get(s & -s, ()) if g & s == s]
     if not masks:
         raise ValueError("not a face")
-    return _rebuild(masks, c)
+    return _rebuild(masks, c, antichain=True)
 
 
 def deletion(c: Complex, vertices: Iterable[int]) -> Complex:

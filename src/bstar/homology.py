@@ -12,10 +12,16 @@ no entry.  The callers name the faces of a whole complex, those outside
 a subcomplex (a pair), those inside a subcomplex (its cycles and the
 chains they may bound in), those that do not contain a face (its
 contrastar), and the top facets through a face with their ridges through
-it (a star, listed from the facets, so no other face is visited).  Every
-rank, cycle basis and span test goes to the sparse entry points of
-`linalg`.  A subcomplex enters as its face masks in the ambient complex,
-matched by label in `_embedded_face_set`.
+it (a star, read from the facets through the face's lowest vertex in the
+facet index of `complexes`, so no other facet or face is visited).  Every
+rank and span test goes to the sparse entry points of `linalg`.  A
+subcomplex enters as its face masks in the ambient complex, matched by
+label in `_embedded_face_set`.
+
+Every cycle basis comes from `linalg._kernel`, whose vectors over Q are
+integral and unscaled, so a projection or span test meets no
+``Fraction``.  Only `first_nonbounding_cycle` scales its cycle to 1 at
+its last face, as `sparse_nullspace` would.
 
 `_kept_betti` gives the homology of the cells a predicate keeps, under
 the boundary of the whole complex: of a pair (`relative_betti`) or of a
@@ -39,7 +45,7 @@ from __future__ import annotations
 import functools
 
 from .complexes import Complex, _bits, _contrastar_mask, _mask_of, _tuple_of
-from .linalg import FieldSpec, sparse_in_span, sparse_nullspace, sparse_pivots, sparse_rank
+from .linalg import FieldSpec, _divided, _kernel, sparse_in_span, sparse_pivots, sparse_rank
 
 __all__ = [
     "BettiTable",
@@ -193,15 +199,20 @@ def contrastar_betti(c: Complex, face, field: FieldSpec, i: int) -> int:
 
 def inclusion_induced_is_zero(a: Complex, c: Complex, i: int, field: FieldSpec) -> bool:
     """True iff every reduced i-cycle of the subcomplex a bounds in c."""
-    return first_nonbounding_cycle(a, c, i, field) is None
+    return _nonbounding_cycle(c, _embedded_face_set(a, c), None, i, field) is None
 
 
 def first_nonbounding_cycle(a: Complex, c: Complex, i: int, field: FieldSpec):
     """A cycle of a that is not a boundary in c, or None.
 
-    Returned as a list of (coefficient, face-mask-in-c) pairs.
+    Returned as a list of (coefficient, face-mask-in-c) pairs, a vector of
+    the kernel basis of `sparse_nullspace`: 1 at its last face.
     """
-    return _nonbounding_cycle(c, _embedded_face_set(a, c), None, i, field)
+    cycle = _nonbounding_cycle(c, _embedded_face_set(a, c), None, i, field)
+    if cycle is None:
+        return None
+    coefficients = _divided([x for x, _ in cycle], cycle[-1][0], field.p)
+    return [(x, m) for x, (_, m) in zip(coefficients, cycle)]
 
 
 def _nonbounding_cycle(c: Complex, inside: set[int], around: set[int] | None,
@@ -209,16 +220,18 @@ def _nonbounding_cycle(c: Complex, inside: set[int], around: set[int] | None,
     """The first basis i-cycle on the faces `inside` that is not a boundary
     of (i+1)-chains on the faces `around` (all of c for None), as
     (coefficient, face mask) pairs in the face order of c, or None.  Both
-    are face-mask sets of subcomplexes of c, `inside` within `around`."""
+    are face-mask sets of subcomplexes of c, `inside` within `around`.
+    The cycle is a kernel vector of `linalg._kernel`, integral over the
+    rationals and not scaled, so it is nonzero at its last face."""
     rows, cells = ([m for m in c.face_masks(d) if m in inside] for d in (i - 1, i))
-    cycles = sparse_nullspace(_boundary(cells, rows), len(rows), field)
+    cycles = _kernel(_boundary(cells, rows), len(rows), field)
     if not cycles:
         return None
     faces, chains = (c.face_masks(d) if around is None
                      else [m for m in c.face_masks(d) if m in around] for d in (i, i + 1))
     target = _boundary(chains, faces)
     index = {m: j for j, m in enumerate(faces)}
-    for z in cycles:
+    for _, z in cycles:
         vec = {index[cells[k]]: coeff for k, coeff in z.items()}
         if not sparse_in_span(target, len(faces), vec, field):
             return [(vec[j], faces[j]) for j in sorted(vec)]
@@ -231,16 +244,18 @@ def _star_top_cycles(c: Complex, field: FieldSpec, face_mask: int):
     map on them (= top homology of the pair (c, contrastar face), or of c
     for mask 0), each kernel vector keyed by face mask.
 
-    The top faces are the largest facets, read off the facet list in the
-    order of `Complex.face_masks`, and the rows are their ridges through
-    the face: no other face of c is visited.  The kernel basis depends on
-    the column order only, so the order of the rows does not matter."""
+    The top faces are the largest facets through the face, read from the
+    facet index at its lowest vertex (all facets for mask 0) in the order
+    of `Complex.face_masks`, and the rows are their ridges through the
+    face: no other face of c is visited.  The kernel vectors are those of
+    `linalg._kernel`, integral over Q.  The kernel basis depends on the
+    column order only, so the order of the rows does not matter."""
     top = c.dim + 1
-    cells = tuple(g for g in c._facet_masks
-                  if g & face_mask == face_mask and g.bit_count() == top)
+    star = c._through.get(face_mask & -face_mask, ()) if face_mask else c._facet_masks
+    cells = tuple(g for g in star if g & face_mask == face_mask and g.bit_count() == top)
     rows = dict.fromkeys(g ^ bit for g in cells for bit in _bits(g ^ face_mask))
     return cells, tuple({cells[k]: x for k, x in z.items()}
-                        for z in sparse_nullspace(_boundary(cells, rows), len(rows), field))
+                        for _, z in _kernel(_boundary(cells, rows), len(rows), field))
 
 
 def _projection_cokernel(c: Complex, field: FieldSpec, sm: int, tm: int) -> int:

@@ -8,19 +8,32 @@ pivot of no earlier column, or until it is zero.  The rank is the number
 of nonzero columns.  A column that reduces to zero is free, and the
 record of the column operations that zeroed it is a kernel vector.  The
 free columns are exactly the non-pivot columns of the reduced row echelon
-form, and each kernel vector is scaled to 1 at its own free column (so it
-is 0 at the other free columns): the kernel basis is the one read off
-that form.  Pivots are fixed by position, never chosen by magnitude; the
-arithmetic is exact, so only reproducibility matters.
+form, and ``sparse_nullspace`` scales each kernel vector to 1 at its own
+free column (so it is 0 at the other free columns): the kernel basis is
+the one read off that form.  Pivots are fixed by position, never chosen
+by magnitude; the arithmetic is exact, so only reproducibility matters.
+
+One kernel per field.  ``_reduce`` runs the loop on the columns the
+field needs.  Over GF(2) a column is an int bit-vector, bit i for row i:
+columns combine by XOR, the pivot is the highest bit
+(``bit_length() - 1``), and the record of operations is a second
+bit-vector.  Over the rationals and odd GF(p) a column is a dict
+``{row: entry}`` and the record sits at negative rows (``_eliminate``).
+Every kernel gives the same pivots, in the same column order, and the
+same records.  ``_kernel`` hands the records to internal callers
+unscaled, each checked to annihilate its columns: over the rationals
+they are integral, so a caller that projects or tests a span with them
+never makes a ``Fraction``.
 
 Column format.  A sparse matrix is a list of columns plus its row count
 ``nrows``; a column is a dict ``{row: entry}`` of its nonzero entries,
 rows numbered from 0.  Over the rationals the entries are ints or
-``Fraction``s: the loop clears each column's denominators and then works
-fraction-free on integers, dividing every combined column by the gcd of
-its entries.  Over GF(p) the entries are ints, taken mod p, or
-``Fraction``s, a/b taken as a times the inverse of b mod p (a ValueError
-if p divides b).
+``Fraction``s: the loop clears each column's denominators (a column of
+ints is copied as it is) and then works fraction-free on integers,
+dividing every combined column by the gcd of its entries.  Over GF(p) the
+entries are ints, taken mod p, or ``Fraction``s, a/b taken as a times the
+inverse of b mod p (a ValueError if p divides b), through ``_residue``
+on every kernel.
 ``sparse_pivots``, ``sparse_rank``, ``sparse_nullspace`` and
 ``sparse_in_span`` take this format; they are the one entry point per
 operation.
@@ -37,8 +50,8 @@ its columns that are not pivot rows of d', over every field.
 
 ``_reduce`` refuses a matrix of more than ``set_max_cells`` rows x
 columns, counting the matrix it is handed (for a cleared boundary map,
-the columns that are left), and ``sparse_nullspace`` checks each kernel
-vector against the matrix before returning it.
+the columns that are left), on every kernel, and ``_kernel`` checks each
+kernel vector against the matrix before returning it.
 """
 
 from __future__ import annotations
@@ -167,34 +180,39 @@ def _residue(x, p: int) -> int:
 
 def _reduce(columns, nrows: int, p: int | None, record: bool = False):
     """The elimination loop (see the module docstring), over GF(p) or,
-    for ``p is None``, over the rationals.
+    for ``p is None``, over the rationals: the bit-vector kernel for
+    p = 2 (`_reduce_gf2`), else the dict kernel here.
 
     Returns the pivot rows, in the order of their columns, and the free
-    columns as (index, leftover) pairs.
-    With `record` every column carries its operations as entries at
-    negative rows, row ~k holding the coefficient of column k, so the
-    leftover of a free column is its kernel vector before scaling.
+    columns as (index, record) pairs.  With `record` the record of a free
+    column maps each column k to its coefficient in the combination that
+    reduced it to zero, a kernel vector before scaling; without, it is
+    None.
     """
     _check_cells(nrows, len(columns))
+    if p == 2:
+        return _reduce_gf2(columns, record)
     pivots: dict[int, dict[int, int]] = {}
     free = []
     for j, entries in enumerate(columns):
         scale = 1
-        if p is None:
+        if p is not None:
+            col = {i: y for i, x in entries.items() if (y := _residue(x, p))}
+        elif all(type(x) is int for x in entries.values()):
+            col = {i: x for i, x in entries.items() if x}
+        else:
             # Clearing the denominators scales column j, so its record
             # starts at that scale and stays relative to the given column.
             for x in entries.values():
                 if type(x) is not int:  # a Fraction; an int subclass has denominator 1
                     scale = lcm(scale, x.denominator)
             col = {i: int(x * scale) for i, x in entries.items() if x}
-        else:
-            col = {i: y for i, x in entries.items() if (y := _residue(x, p))}
         if record:
-            col[~j] = scale
+            col[~j] = scale  # the record sits at negative rows, row ~k for column k
         while True:
             low = max(col, default=-1)
             if low < 0:
-                free.append((j, col))
+                free.append((j, {~k: x for k, x in col.items()} if record else None))
                 break
             other = pivots.get(low)
             if other is None:
@@ -202,6 +220,41 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
                 break
             col = _eliminate(col, other, low, p)
     return list(pivots), free
+
+
+def _reduce_gf2(columns, record: bool):
+    """`_reduce` over GF(2) on int bit-vector columns, bit i for row i:
+    a column is combined with another by XOR, and its pivot is its
+    highest bit.  The record is a second bit-vector, bit k for column k."""
+    pivots: dict[int, tuple[int, int]] = {}
+    free = []
+    for j, entries in enumerate(columns):
+        col = 0
+        for i, x in entries.items():
+            if x & 1 if type(x) is int else _residue(x, 2):  # x & 1 is _residue of an int
+                col |= 1 << i
+        rec = 1 << j if record else 0
+        while col:
+            low = col.bit_length() - 1
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = col, rec
+                break
+            col ^= other[0]
+            rec ^= other[1]
+        else:
+            free.append((j, _ones(rec) if record else None))
+    return list(pivots), free
+
+
+def _ones(bits: int) -> dict[int, int]:
+    """The bit-vector `bits` as {index: 1} at each set bit, lowest first."""
+    ones = {}
+    while bits:
+        low = bits & -bits
+        ones[low.bit_length() - 1] = 1
+        bits ^= low
+    return ones
 
 
 def _eliminate(col: dict, other: dict, low: int, p: int | None) -> dict:
@@ -244,30 +297,44 @@ def sparse_rank(columns, nrows: int, field: FieldSpec) -> int:
     return len(_reduce(columns, nrows, field.p)[0])
 
 
+def _kernel(columns, nrows: int, field: FieldSpec) -> list[tuple[int, dict]]:
+    """The free columns of a sparse matrix over `field` with their records
+    (see `_reduce`), each checked to annihilate `columns`: a kernel basis
+    left unscaled, so integral over the rationals, for internal callers."""
+    p = field.p
+    basis = _reduce(columns, nrows, p, record=True)[1]
+    for _, rec in basis:
+        image: dict[int, int] = {}
+        for k, x in rec.items():
+            for i, a in columns[k].items():
+                image[i] = image.get(i, 0) + x * a
+        if any(s if p is None else _residue(s, p) for s in image.values()):
+            raise AssertionError("nullspace vector fails verification")
+    return basis
+
+
 def sparse_nullspace(columns, nrows: int, field: FieldSpec) -> list[dict]:
     """Basis of the right kernel of a sparse matrix over `field`, one
     {column: coefficient} dict per free column, 1 at that column and 0 at
     the other free columns.  Coefficients are ``Fraction``s over the
     rationals and residues over GF(p).  Each is checked to annihilate
     `columns`."""
-    p = field.p
+    basis = []
+    for j, rec in _kernel(columns, nrows, field):
+        keys = sorted(rec)
+        basis.append(dict(zip(keys, _divided([rec[k] for k in keys], rec[j], field.p))))
+    return basis
+
+
+def _divided(values: list, lead: int, p: int | None) -> list:
+    """Each of `values` divided by `lead`: ``Fraction``s over the
+    rationals, residues over GF(p)."""
     if p is None:
         from fractions import Fraction
-    basis = []
-    for j, rec in _reduce(columns, nrows, p, record=True)[1]:
-        image: dict[int, int] = {}
-        for k, x in rec.items():
-            for i, a in columns[~k].items():
-                image[i] = image.get(i, 0) + x * a
-        if any(s if p is None else _residue(s, p) for s in image.values()):
-            raise AssertionError("nullspace vector fails verification")
-        lead = rec[~j]
-        if p is None:
-            basis.append({~k: Fraction(x, lead) for k, x in sorted(rec.items(), reverse=True)})
-        else:
-            inv = pow(lead, -1, p)
-            basis.append({~k: x * inv % p for k, x in sorted(rec.items(), reverse=True)})
-    return basis
+
+        return [Fraction(x, lead) for x in values]
+    inv = pow(lead, -1, p)
+    return [x * inv % p for x in values]
 
 
 def sparse_in_span(columns, nrows: int, vector: dict, field: FieldSpec) -> bool:

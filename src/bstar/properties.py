@@ -9,9 +9,18 @@ no manifold, witness "not pure"), with links passing it with top Betti 1
 boundary).  Gorenstein*: every link, the whole complex included, is a
 homology sphere of its own dimension, that is, CM with top Betti 1
 throughout; CM implies pure, and in dimension 0 β = (0, 1) is two points,
-while {∅} passes.  All four read `_link_walk`, which builds each
-nonempty-face link once per shape and field and stops at the first
-failing one, where a walk per decider stops, so witnesses stay.
+while {∅} passes.  All four read `_link_walk`, one per shape and field,
+which stops at the first failing link, where a walk per decider stops,
+so witnesses stay.  In a pure complex of dimension d the walk reads the
+links of facets and ridges off the facet list: a facet's link is {∅},
+with β = (1), and a ridge in k facets has k points as its link, with
+β = (0, k − 1).  One count of the cofacets of every ridge
+(`_cofacet_counts`, which `_ridges_shared` reads too) gives them all, and
+neither can fail, so only faces of dimension ≤ d − 2 build a link; a
+graph builds none.  A non-pure complex builds the link of every face.
+Each link is built once per shape for every field: the walk over one
+field puts the label-free link shapes in `_link_shapes`, and the walks
+over other fields rank those shapes without building a link.
 
 Buchsbaum*: removing the open star of any nonempty face F keeps the
 reduced Betti number one below the top dimension d.  For a Buchsbaum
@@ -42,8 +51,9 @@ needs no dimension guard.  `verify`'s
 sweep called directly, and `check_surjectivity_oracle`, which ranks the
 contrastar Betti numbers, checks every Buchsbaum* verdict independently.
 
-All deciders are pure.  The link walk and projection sweep are memoised by shape
-(`clear_caches` empties the memo), so the deciders add the labels of faces.
+All deciders are pure.  The link walk, its link shapes and the projection
+sweep are memoised by shape (`clear_caches` empties the memo), so the
+deciders add the labels of faces.
 They walk faces as masks (`_faces_ascending`) and make a vertex tuple only
 to name a face in a witness.
 
@@ -98,7 +108,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .complexes import Complex, _bits, _link, _rebuild, _tuple_of, deletion
+from .complexes import Complex, _bits, _link, _rebuild, _shaped, _tuple_of, deletion
 from .homology import (_by_shape, _kept_betti, _projection_cokernel, _shapes,
                        betti, betti_at)
 from .linalg import FieldSpec
@@ -177,19 +187,55 @@ def _link_violation(b: tuple[int, ...], top: int | None) -> str | None:
 
 
 @_by_shape
+def _link_shapes(c: Complex) -> tuple[dict[int, tuple], dict[tuple, tuple]]:
+    """Face mask -> the shape (facet masks, vertex count) of its link, with
+    no label, and every distinct shape, held once: filled by the link walks
+    of every field, so each link of a shape is built once."""
+    return {}, {}
+
+
+def _cofacet_counts(c: Complex) -> dict[int, int]:
+    """The number of facets through each ridge of the pure complex c, from
+    one pass over the facets."""
+    counts: dict[int, int] = {}
+    for g in c._facet_masks:
+        for bit in _bits(g):
+            counts[g ^ bit] = counts.get(g ^ bit, 0) + 1
+    return counts
+
+
+@_by_shape
 def _link_walk(c: Complex, f: FieldSpec):
-    """Build the link of each nonempty face once, in `_faces_ascending`
+    """Take the link of each nonempty face once, in `_faces_ascending`
     order, up to the first with reduced homology below its top dimension.
+    A pure complex reads the links of its facets and ridges off the facet
+    list, and only the first walk over a shape builds a link (module
+    docstring).
 
     Returns the top reduced Betti number of every link passed, in that
     order, then the failing face's mask and why it fails, or None and None."""
+    d, pure = c.dim, c.is_pure
+    shapes, distinct = _link_shapes(c)
     tops = []
-    for face in _faces_ascending(c):
-        b = betti(_link(c, face), f).betti
-        why = _link_violation(b, None)
-        if why:
-            return tuple(tops), face, why
-        tops.append(b[-1])
+    for e in range(0, d - 1 if pure else d + 1):
+        for face in c.face_masks(e):
+            shape = shapes.get(face)
+            if shape is None:
+                lk = _link(c, face)
+                shape = lk._facet_masks, lk.n_vertices
+                shapes[face] = distinct.setdefault(shape, shape)
+            else:
+                lk = _shaped(*shape)
+            b = betti(lk, f).betti
+            why = _link_violation(b, None)
+            if why:
+                return tuple(tops), face, why
+            tops.append(b[-1])
+    if pure and d >= 1:
+        counts = _cofacet_counts(c)
+        tops += [counts[r] - 1 for r in c.face_masks(d - 1)]
+    if pure and d >= 0:
+        tops += [1] * len(c.face_masks(d))
     return tuple(tops), None, None
 
 
@@ -240,12 +286,7 @@ def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider) -> bool:
 def _ridges_shared(c: Complex) -> bool:
     """Every ridge of the pure complex c lies in at least two facets, so
     that every one-vertex deletion stays pure of the same dimension."""
-    once: set[int] = set()
-    twice: set[int] = set()
-    for g in c._facet_masks:
-        for bit in _bits(g):
-            (twice if g ^ bit in once else once).add(g ^ bit)
-    return once == twice
+    return all(k > 1 for k in _cofacet_counts(c).values())
 
 
 def _m_fold(c: Complex, f: FieldSpec, m: int, plain, doubly) -> bool:
@@ -490,5 +531,5 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
 
 def clear_caches() -> None:
     """Empty the one memo table, keyed by shape, that holds the Betti
-    tables, star cycles, link walks and projection sweeps."""
+    tables, star cycles, link shapes, link walks and projection sweeps."""
     _shapes.clear()

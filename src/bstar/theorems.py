@@ -73,9 +73,9 @@ def _memoised() -> int:
 
 def check_counterexample_fidelity(entries, fields) -> TheoremResult:
     """The two doubly-Buchsbaum-but-not-Buchsbaum* corpus complexes.  Each
-    block's work is bounded by the results it adds to the memo table: 18
-    and 70 per field from empty, so the bounds keep a 2x margin and the
-    verdict does not depend on the clock."""
+    block's work is bounded by the results it adds to the memo table: at
+    most 16 and 70 per field from empty, so the bounds keep a 2x margin
+    and the verdict does not depend on the clock."""
     r = TheoremResult("counterexample_fidelity", True)
     ex1 = example_2_10_i()
     ex3 = example_2_10_iii()

@@ -21,6 +21,15 @@ tests each link once.  The m-fold projection deciders are compared with
 and the m ≥ 3 deciders, which sweep the doubly criteria one level
 down, with `m_fold_by_rebuild`, which rebuilds every deletion of fewer
 than m vertices from labelled facets and walks its links anew.
+`link_walk_by_every_link` builds the link of every nonempty face by a
+scan of the whole facet list, where the package reads the links of
+facets and ridges of a pure complex off the facet list and finds the
+others through its per-vertex facet index.
+`pivot_rows_by_pairing` finds the pivot row of each column of the
+left-to-right reduction from ranks of lower-left submatrices (the
+pairing lemma), and `kernel_by_enumeration` the kernel basis among all
+vectors of a small GF(p)^n, where the package reduces GF(2) columns as
+bit-vectors; both rank with `rank_modular` on residues taken here.
 `connectivity_by_all_pairs` runs the package's flow on every
 nonadjacent pair, where the package stops after the first κ + 1 sources.
 `betti_by_full_ranks` and `relative_betti_by_full_ranks` rank every
@@ -32,6 +41,7 @@ their point is elimination with clearing against elimination without.
 """
 
 import itertools
+from fractions import Fraction
 
 import sympy
 
@@ -357,3 +367,86 @@ def relative_betti_by_full_ranks(c, excluded, field, i):
     upper = boundary_columns(c, i + 1, outside)[0]
     return (ncells - sparse_rank(lower, nrows, field)
             - sparse_rank(upper, ncells, field))
+
+
+def link_walk_by_every_link(c, f):
+    """`properties._link_walk` with no facet or ridge read off the facet
+    list: the link of every nonempty face, by dimension and then sorted,
+    rebuilt from the sets G - F over a scan of all facets G, up to the
+    first with reduced homology below its top dimension.  Returns the top
+    Betti numbers passed, the failing face's mask and why, or None, None."""
+    tops = []
+    for face in nonempty_faces(c):
+        s = c.mask(face)
+        lk = _rebuild([g & ~s for g in c._facet_masks if g & s == s], c)
+        b = betti(lk, f).betti
+        why = _link_violation(b, None)
+        if why:
+            return tuple(tops), s, why
+        tops.append(b[-1])
+    return tuple(tops), None, None
+
+
+def residue_columns(columns, p):
+    """Sparse columns with each entry a/b taken as a times the inverse of b
+    mod p, zeros dropped; a ValueError when p divides a denominator."""
+    out = []
+    for col in columns:
+        kept = {}
+        for i, x in col.items():
+            x = Fraction(x)
+            if x.denominator % p == 0:
+                raise ValueError(f"{x} has no residue mod {p}")
+            if x.numerator * pow(x.denominator, -1, p) % p:
+                kept[i] = x.numerator * pow(x.denominator, -1, p) % p
+        out.append(kept)
+    return out
+
+
+class _Dense:
+    """Residue columns restricted to some rows, read as a dense matrix by
+    `rank_modular`."""
+
+    def __init__(self, columns, rows):
+        self.cols, self.rows = len(columns), len(rows)
+        self._columns, self._rows = columns, rows
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self._columns[j].get(self._rows[i], 0)
+
+
+def rank_of_columns(columns, rows, p):
+    """Rank mod p of residue columns restricted to the given rows."""
+    return rank_modular(_Dense(columns, list(rows)), p)
+
+
+def pivot_rows_by_pairing(columns, nrows, p):
+    """The pivot row of each column of the left-to-right reduction mod p
+    (see `linalg`), or None for a column that reduces to zero, by the
+    pairing lemma: column j ends at row i exactly when
+    r(i, j+1) - r(i+1, j+1) - r(i, j) + r(i+1, j) = 1, where r(i, j) is the
+    rank of rows i, i+1, ... of the first j columns (Cohen-Steiner,
+    Edelsbrunner and Morozov 2006, "Vines and vineyards by updating
+    persistence in linear time")."""
+    res = residue_columns(columns, p)
+
+    def r(i, j):
+        return rank_of_columns(res[:j], range(i, nrows), p)
+
+    return [next((i for i in range(nrows)
+                  if r(i, j + 1) - r(i + 1, j + 1) - r(i, j) + r(i + 1, j) == 1), None)
+            for j in range(len(columns))]
+
+
+def kernel_by_enumeration(columns, nrows, p):
+    """The kernel basis mod p with one vector per column that reduces to
+    zero, 1 there and 0 at every other such column, each picked out of all
+    p^n vectors; as {column: residue} dicts, for a handful of columns."""
+    res = residue_columns(columns, p)
+    free = [j for j, i in enumerate(pivot_rows_by_pairing(columns, nrows, p)) if i is None]
+    kernel = [v for v in itertools.product(range(p), repeat=len(res))
+              if all(sum(v[j] * col.get(i, 0) for j, col in enumerate(res)) % p == 0
+                     for i in range(nrows))]
+    return [{k: x for k, x in enumerate(v) if x}
+            for j in free for v in kernel if [v[k] for k in free] == [int(k == j) for k in free]]

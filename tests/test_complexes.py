@@ -290,6 +290,19 @@ def test_link_round_trip(c):
                     assert c.is_face(idx)
 
 
+@given(st.one_of(random_complexes(), complexes_up_to_7_vertices()))
+@settings(max_examples=60, deadline=None)
+def test_link_is_the_complex_of_the_sets_g_minus_f(c):
+    # a link takes the facets through the face's lowest vertex, in facet
+    # order, and keeps their sets G - F with no `_maximal` and no sort: it
+    # equals, facet order and hash included, the complex built from them
+    for d in range(c.dim + 1):
+        for s in c.face_masks(d):
+            expected = complexes._rebuild([g & ~s for g in c._facet_masks if g & s == s], c)
+            lk = link(c, [v for v in range(c.n_vertices) if s >> v & 1])
+            assert lk == expected and hash(lk) == hash(expected)
+
+
 @given(random_complexes())
 @settings(max_examples=40, deadline=None)
 def test_from_facets_idempotent(c):

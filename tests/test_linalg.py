@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 import sympy
 
 from bstar.linalg import (GF2, QQ, FieldSpec, LinalgGuardError, is_prime, set_max_cells,
-                          sparse_in_span, sparse_nullspace, sparse_rank)
-from oracles import rank_by_minors, rank_modular
+                          sparse_in_span, sparse_nullspace, sparse_pivots, sparse_rank)
+from oracles import (kernel_by_enumeration, pivot_rows_by_pairing, rank_by_minors,
+                     rank_modular, rank_of_columns, residue_columns)
 
 # boundary map of a 3-cycle: rows = vertices, cols = edges 01, 02, 12
 CYCLE3_D1 = [
@@ -196,3 +197,53 @@ def test_cell_guard():
             sparse_rank(*columns_of([[0] * 10] * 10), QQ)
     finally:
         set_max_cells(1 << 24)
+
+
+def test_cell_guard_over_gf2():
+    # the bit-vector kernel keeps the guard of the dict kernel
+    set_max_cells(10)
+    try:
+        for call in (lambda m: sparse_rank(*m, GF2), lambda m: sparse_nullspace(*m, GF2),
+                     lambda m: sparse_in_span(*m, {0: 1}, GF2)):
+            with pytest.raises(LinalgGuardError):
+                call(columns_of([[1] * 4] * 3))
+    finally:
+        set_max_cells(1 << 24)
+
+
+# entries with odd denominators, which have a residue mod 2
+odd_fractions = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 3, 5]))
+
+
+@st.composite
+def gf2_matrices(draw):
+    """Sparse columns of ints and odd-denominator Fractions, zeros included,
+    and a vector for the span test."""
+    nrows = draw(st.integers(0, 6))
+    cell = st.one_of(st.just(0), small_entries, odd_fractions)
+    columns = [{i: x for i in range(nrows) if (x := draw(cell)) or draw(st.booleans())}
+               for _ in range(draw(st.integers(1, 6)))]
+    return columns, nrows, {i: draw(cell) for i in range(nrows)}
+
+
+@given(gf2_matrices())
+@settings(max_examples=120, deadline=None)
+def test_gf2_kernel_matches_modular_elimination(matrix):
+    # the bit-vector kernel against an elimination on residues mod 2 that
+    # shares no code with it: pivots in column order, rank, kernel basis
+    # and span
+    columns, nrows, vector = matrix
+    expected = [i for i in pivot_rows_by_pairing(columns, nrows, 2) if i is not None]
+    assert sparse_pivots(columns, nrows, GF2) == expected
+    assert sparse_rank(columns, nrows, GF2) == len(expected)
+    assert sparse_nullspace(columns, nrows, GF2) == kernel_by_enumeration(columns, nrows, 2)
+    res = residue_columns([*columns, vector], 2)
+    assert sparse_in_span(columns, nrows, vector, GF2) == (
+        rank_of_columns(res, range(nrows), 2) == rank_of_columns(res[:-1], range(nrows), 2))
+
+
+def test_even_denominator_has_no_residue_mod_2():
+    for call in (lambda m: sparse_rank(*m, GF2), lambda m: sparse_nullspace(*m, GF2),
+                 lambda m: sparse_in_span(*m, {0: 1}, GF2)):
+        with pytest.raises(ValueError, match="no residue mod 2"):
+            call(columns_of([[1, Fraction(1, 2)]]))

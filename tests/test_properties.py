@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (buchsbaum_star_by_contrastars, link_homology_violation,
-                     m_fold_by_rebuild, manifold_report_by_recursion)
+                     link_walk_by_every_link, m_fold_by_rebuild, manifold_report_by_recursion)
 from strategies import EDGE_CASES, complexes_up_to_7_vertices, subdivision_chains
 
 from bstar import clear_caches, homology, properties
-from bstar.complexes import _link, cone, deletion, from_facets, skeleton
+from bstar.complexes import Complex, _link, cone, deletion, from_facets, skeleton
 from bstar.constructions import (bowtie, corpus, cross_polytope, cycle, example_2_10_i,
                                  example_2_10_iii, rp2_6, simplex, simplex_boundary,
                                  stacked_sphere, torus7)
@@ -275,6 +275,8 @@ def test_property_report_builds_one_manifold_report(monkeypatch):
 
 def test_property_report_builds_each_link_once(monkeypatch):
     # CM, Buchsbaum, Gorenstein* and the manifold report read one link walk
+    # per field, and the walks of all fields share the links they build;
+    # the links of facets and ridges are read off the facet list
     calls = []
 
     def counting_link(c, s):
@@ -283,11 +285,46 @@ def test_property_report_builds_each_link_once(monkeypatch):
 
     clear_caches()
     monkeypatch.setattr(properties, "_link", counting_link)
-    c = cross_polytope(3)
-    rep = property_report(c, QQ)
-    assert rep.verdicts["gorenstein*"] and rep.verdicts["homology_manifold"]
-    assert sorted(calls) == sorted(c.mask(t) for d in range(c.dim + 1) for t in c.faces(d))
-    assert len(calls) == 26
+    c = cross_polytope(4)
+    for f in (QQ, GF2):
+        rep = property_report(c, f)
+        assert rep.verdicts["gorenstein*"] and rep.verdicts["homology_manifold"]
+    assert sorted(calls) == sorted(c.mask(t) for d in range(c.dim - 1) for t in c.faces(d))
+    assert len(calls) == 8 + 24
+
+
+def test_link_and_star_visit_only_the_facets_through_the_lowest_vertex():
+    # `_link`, `has_mask` and `_star_top_cycles` read the facet index at the
+    # lowest vertex of the face, and never scan the facet list
+    visited = []
+
+    class Through(list):
+        def __iter__(self):
+            for g in list.__iter__(self):
+                visited.append(g)
+                yield g
+
+    class Unscanned(tuple):
+        def __iter__(self):
+            raise AssertionError("the facet list was scanned")
+
+    c = stacked_sphere(30, 3)
+    faces = [m for d in range(c.dim + 1) for m in c.face_masks(d)]
+    through = c._through
+    c.__dict__["_through"] = {bit: Through(gs) for bit, gs in through.items()}
+    c._facet_masks = Unscanned(c._facet_masks)
+    clear_caches()
+    try:
+        for face in faces:
+            star = through[face & -face]
+            for visit in (_link, Complex.has_mask,
+                          lambda k, s: homology._star_top_cycles(k, QQ, s)):
+                visited.clear()
+                visit(c, face)
+                assert visited == star[:len(visited)]
+                assert len(visited) == len(star) or visit is Complex.has_mask
+    finally:
+        clear_caches()
 
 
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "corpus_reports.json"
@@ -362,7 +399,8 @@ def test_clear_caches_covers_every_memo():
     clear_caches()
     property_report(example_2_10_i(), QQ)
     memos = {key[0].__name__ for entry in homology._shapes.values() for key in entry}
-    assert memos == {"betti", "_star_top_cycles", "_link_walk", "_projection_violation"}
+    assert memos == {"betti", "_star_top_cycles", "_link_walk", "_link_shapes",
+                     "_projection_violation"}
     clear_caches()
     assert homology._shapes == {}
 
@@ -467,6 +505,17 @@ def test_homology_manifold_matches_recursive_oracle(c):
 
     for f in (QQ, GF2, FieldSpec(3)):
         assert summary(is_homology_manifold(c, f)) == summary(manifold_report_by_recursion(c, f))
+
+
+@given(st.one_of(complexes_up_to_7_vertices(), pure_complexes_up_to_7_vertices(),
+                 st.sampled_from(list(EDGE_CASES.values()))))
+@example(SPHERE_WITH_FIN)  # not pure: a ridge-dimensional face fails
+@example(cone(rp2_6()))  # the apex link, RP², fails over GF(2) only
+@example(cross_polytope(4))
+@settings(max_examples=150, deadline=None)
+def test_link_walk_matches_the_walk_that_builds_every_link(c):
+    for f in (QQ, GF2, FieldSpec(3)):
+        assert properties._link_walk(c, f) == link_walk_by_every_link(c, f)
 
 
 def test_property_report_counterexample():

@@ -1,6 +1,8 @@
 """What a fresh `bstar` process imports: each command loads the modules it
 runs, and start-up loads neither `dataclasses` (with `inspect`) nor
-`fractions` (with `decimal`), nor `typing`."""
+`fractions` (with `decimal`), nor `typing`.  A `check` that projects top
+cycles over Q loads no `fractions` either: its kernel vectors are
+integral."""
 
 import json
 import os
@@ -48,3 +50,11 @@ def test_start_up_loads_only_what_check_runs(tmp_path, argv):
 def test_a_named_input_adds_only_constructions(tmp_path):
     loaded = _loaded("check", "named:cycle:5", cwd=tmp_path)
     assert loaded & NEVER_AT_START == {"bstar.constructions"}
+
+
+@pytest.mark.parametrize("target", ["named:rp2_6", "named:example_2_10_iii"])
+def test_a_projection_over_q_loads_no_fractions(tmp_path, target):
+    # both are Buchsbaum and not closed orientable manifolds over Q, so
+    # Buchsbaum* runs the projection sweep there
+    loaded = _loaded("check", target, cwd=tmp_path)
+    assert loaded & {"fractions", "decimal"} == set()
