@@ -128,6 +128,14 @@ def _bits(mask: int):
         mask ^= bit
 
 
+def _submasks(mask: int):
+    """The nonempty submasks of `mask`, `mask` itself first."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
 def _tuple_of(mask: int) -> tuple[int, ...]:
     out = []
     while mask:

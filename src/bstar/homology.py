@@ -5,18 +5,22 @@ empty face as the single (-1)-cell, so every Betti number below is
 reduced.  Faces are ordered by their sorted vertex tuples; the boundary
 of a face drops its k-th smallest vertex with sign (-1)^k.
 
-`_boundary` is the one builder of boundary maps.  It gives sparse columns
-in the format of `linalg` for the cells its caller names, as face masks,
-into the rows its caller names; a face of a cell that is not a row gives
-no entry.  The callers name the faces of a whole complex, those outside
-a subcomplex (a pair), those inside a subcomplex (its cycles and the
+`_boundary` is the one builder of boundary maps.  It gives one signed
+pair (plus, minus) of `linalg` per cell its caller names, as face masks:
+a bit at each face of the cell among the rows its caller names, in plus
+where the face drops the cell's k-th smallest vertex for an even k, in
+minus for an odd k.  A face that is not a row gives no entry.  So over
+Q and GF(3) boundary maps go to the signed bit-vector kernel of
+`linalg`, and over GF(2) to its XOR kernel, with no dict on the way.
+The callers name the faces of a whole complex, those outside a
+subcomplex (a pair), those inside a subcomplex (its cycles and the
 chains they may bound in), those that do not contain a face (its
 contrastar), and the top facets through a face with their ridges through
 it (a star, read from the facets through the face's lowest vertex in the
 facet index of `complexes`, so no other facet or face is visited).  Every
 rank and span test goes to the sparse entry points of `linalg`.  A
 subcomplex enters as its face masks in the ambient complex, matched by
-label in `_embedded_face_set`.
+label in `_embedded_face_set`, which maps only its facets.
 
 Every cycle basis comes from `linalg._kernel`, whose vectors over Q are
 integral and unscaled, so a projection or span test meets no
@@ -31,6 +35,13 @@ for a pair, whose subcomplex holds the empty face, always for a
 contrastar, so the contrastar {∅} of the only vertex of a point has
 beta_{-1} = 1.
 
+The projection of top cycles between stars (`_projection_cokernel`)
+ranks the projected cycles only when the star of the larger face has
+more than one top cycle.  The projections lie in the span of that
+star's cycles, so with one cycle the rank is 1 if a projection is
+nonzero, that is, if a cycle of the smaller star is nonzero on a top
+face through the larger face, and 0 otherwise.
+
 Betti numbers, of a complex, a pair or a contrastar, are ranked from the
 top degree down, with clearing (Chen-Kerber 2011, "Persistent homology
 computation with a twist"; see `linalg`): each pivot row of the boundary
@@ -44,7 +55,7 @@ from __future__ import annotations
 
 import functools
 
-from .complexes import Complex, _bits, _contrastar_mask, _mask_of, _tuple_of
+from .complexes import Complex, _bits, _contrastar_mask, _mask_of, _submasks, _tuple_of
 from .linalg import FieldSpec, _divided, _kernel, sparse_in_span, sparse_pivots, sparse_rank
 
 __all__ = [
@@ -86,19 +97,23 @@ class BettiTable:
 
 def _boundary(cells, rows):
     """The boundary map from `cells` to `rows`, face masks one dimension
-    apart, as sparse columns (see `linalg`): one column per cell, with an
-    entry at each of its faces that is a row."""
+    apart, as signed pairs (see `linalg`): one column (plus, minus) per
+    cell, with a bit at each of its faces that is a row."""
     index = {m: i for i, m in enumerate(rows)}
     columns = []
     for m in cells:
-        col, sign, rest = {}, 1, m
+        plus = minus = 0
+        positive, rest = True, m
         while rest:
             bit = rest & -rest
             i = index.get(m ^ bit)
             if i is not None:
-                col[i] = sign
-            sign, rest = -sign, rest ^ bit
-        columns.append(col)
+                if positive:
+                    plus |= 1 << i
+                else:
+                    minus |= 1 << i
+            positive, rest = not positive, rest ^ bit
+        columns.append((plus, minus))
     return columns
 
 
@@ -153,19 +168,20 @@ def reduced_euler_characteristic(c: Complex) -> int:
 def _embedded_face_set(a: Complex, c: Complex) -> set[int]:
     """Masks in c of all faces of the subcomplex a, the empty face
     included; raises ValueError unless a is a subcomplex of c.  The one
-    place where the vertices of two complexes are matched, by label."""
+    place where the vertices of two complexes are matched, by label: only
+    the facets of a are mapped, and their faces are their submasks."""
     index = {lab: i for i, lab in enumerate(c.labels)}
     try:
         position = [index[lab] for lab in a.labels]
     except KeyError:
         raise ValueError("not a subcomplex: label missing from the ambient complex") from None
-
-    def embed(mask):
-        return _mask_of(position[v] for v in _tuple_of(mask))
-
-    if not all(c.has_mask(embed(m)) for m in a._facet_masks):
+    facets = [_mask_of(position[v] for v in _tuple_of(m)) for m in a._facet_masks]
+    if not all(c.has_mask(g) for g in facets):
         raise ValueError("not a subcomplex: facet missing from the ambient complex")
-    return {embed(m) for d in range(-1, a.dim + 1) for m in a.face_masks(d)}
+    faces = {0}
+    for g in facets:
+        faces.update(_submasks(g))
+    return faces
 
 
 def _kept_betti(c: Complex, keep, field: FieldSpec, i: int) -> int:
@@ -266,6 +282,10 @@ def _projection_cokernel(c: Complex, field: FieldSpec, sm: int, tm: int) -> int:
     cells_t, ker_t = _star_top_cycles(c, field, tm)
     if not ker_t:
         return 0
+    if len(ker_t) == 1:
+        # The projections lie in the cycles of the star of t, the span of
+        # ker_t, so their rank is 1 if one of them is nonzero, else 0.
+        return 0 if any(not z.keys().isdisjoint(cells_t) for z in ker_s) else 1
     projected = [{j: z[m] for j, m in enumerate(cells_t) if m in z} for z in ker_s]
     return len(ker_t) - sparse_rank(projected, len(cells_t), field)
 

@@ -13,30 +13,45 @@ free column (so it is 0 at the other free columns): the kernel basis is
 the one read off that form.  Pivots are fixed by position, never chosen
 by magnitude; the arithmetic is exact, so only reproducibility matters.
 
-One kernel per field.  ``_reduce`` runs the loop on the columns the
-field needs.  Over GF(2) a column is an int bit-vector, bit i for row i:
-columns combine by XOR, the pivot is the highest bit
-(``bit_length() - 1``), and the record of operations is a second
-bit-vector.  Over the rationals and odd GF(p) a column is a dict
-``{row: entry}`` and the record sits at negative rows (``_eliminate``).
-Every kernel gives the same pivots, in the same column order, and the
-same records.  ``_kernel`` hands the records to internal callers
-unscaled, each checked to annihilate its columns: over the rationals
-they are integral, so a caller that projects or tests a span with them
-never makes a ``Fraction``.
+Two column formats.  A sparse matrix is a list of columns plus its row
+count ``nrows``, rows numbered from 0.  A column is either a dict
+``{row: entry}`` of its nonzero entries or a signed pair ``(plus,
+minus)`` of int bit-vectors with no bit in common: the entry at row i
+is 1 if bit i of ``plus`` is set, -1 if bit i of ``minus`` is, else 0.
+The pair is the sign pattern of a simplicial boundary, and `homology`
+builds every boundary map as pairs.  Dict entries over the rationals
+are ints or ``Fraction``s; over GF(p) they are ints, taken mod p, or
+``Fraction``s, a/b taken as a times the inverse of b mod p (a
+ValueError if p divides b), through ``_residue``.  ``sparse_pivots``,
+``sparse_rank``, ``sparse_nullspace`` and ``sparse_in_span`` take
+either format; they are the one entry point per operation.
 
-Column format.  A sparse matrix is a list of columns plus its row count
-``nrows``; a column is a dict ``{row: entry}`` of its nonzero entries,
-rows numbered from 0.  Over the rationals the entries are ints or
-``Fraction``s: the loop clears each column's denominators (a column of
-ints is copied as it is) and then works fraction-free on integers,
-dividing every combined column by the gcd of its entries.  Over GF(p) the
-entries are ints, taken mod p, or ``Fraction``s, a/b taken as a times the
-inverse of b mod p (a ValueError if p divides b), through ``_residue``
-on every kernel.
-``sparse_pivots``, ``sparse_rank``, ``sparse_nullspace`` and
-``sparse_in_span`` take this format; they are the one entry point per
-operation.
+One kernel per field and format, all behind ``_reduce``:
+
+- GF(2), either format (``_reduce_gf2``): a column is one bit-vector,
+  ``plus | minus`` of a pair or the odd entries of a dict.  Columns
+  combine by XOR, the pivot is the highest bit (``bit_length() - 1``),
+  and the record of operations is a second bit-vector.
+- The rationals and GF(3) on pairs (``_reduce_signed``): columns
+  combine by AND, OR and AND-NOT of their bit-vectors, the pivot is the
+  highest bit of ``plus | minus``, and the record is a pair too.  Over
+  GF(3) a sum stays in {-1, 0, 1}, as 1 + 1 = -1.  Over the rationals
+  it can reach 2 or -2; the kernel then hands the whole matrix to the
+  dict kernel, as it does a matrix with a dict column.
+- The rationals and GF(3) on dicts, and GF(p) for p >= 5 on either
+  format (``_reduce_dict``): a column is a dict and the record sits at
+  negative rows.  Over the rationals the loop clears each column's
+  denominators (a column of ints is copied as it is) and then works
+  fraction-free on integers, dividing every combined column by the gcd
+  of its entries (``_eliminate``).
+
+Every kernel gives the same pivots, in the same column order, and the
+same records.  While all entries stay in {-1, 0, 1}, the fraction-free
+step adds or subtracts the pivot column and divides by a gcd of 1,
+which is the signed kernel's step.  ``_kernel`` hands the records to
+internal callers unscaled, each checked to annihilate its columns: over
+the rationals they are integral, so a caller that projects or tests a
+span with them never makes a ``Fraction``.
 
 Pivot rows and clearing.  ``sparse_pivots`` gives the pivot rows of the
 reduced columns; the rank is their number.  They serve the clearing
@@ -180,8 +195,8 @@ def _residue(x, p: int) -> int:
 
 def _reduce(columns, nrows: int, p: int | None, record: bool = False):
     """The elimination loop (see the module docstring), over GF(p) or,
-    for ``p is None``, over the rationals: the bit-vector kernel for
-    p = 2 (`_reduce_gf2`), else the dict kernel here.
+    for ``p is None``, over the rationals, on the kernel for the field and
+    the column format.
 
     Returns the pivot rows, in the order of their columns, and the free
     columns as (index, record) pairs.  With `record` the record of a free
@@ -192,9 +207,70 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
     _check_cells(nrows, len(columns))
     if p == 2:
         return _reduce_gf2(columns, record)
+    if p is None or p == 3:
+        reduced = _reduce_signed(columns, p, record)
+        if reduced is not None:
+            return reduced
+    return _reduce_dict(columns, p, record)
+
+
+def _reduce_signed(columns, p: int | None, record: bool):
+    """`_reduce` over the rationals or GF(3) on (plus, minus) columns;
+    the record is a pair too, bit k for column k.  Returns None, for the
+    dict kernel to start over, at a dict column, or over the rationals
+    as soon as an entry of a column or record would leave {-1, 0, 1}."""
+    gf3 = p == 3
+    pivots: dict[int, tuple[int, int, int, int]] = {}
+    free = []
+    for j, col in enumerate(columns):
+        if type(col) is not tuple:
+            return None
+        plus, minus = col
+        rplus, rminus = (1 << j if record else 0), 0
+        while True:
+            support = plus | minus
+            if not support:
+                free.append((j, _signed(rplus, rminus, 2 if gf3 else -1) if record else None))
+                break
+            low = support.bit_length() - 1
+            other = pivots.get(low)
+            if other is None:
+                pivots[low] = plus, minus, rplus, rminus
+                break
+            # Add the other column, or subtract it (add it with plus and
+            # minus swapped) where both have the same sign at `low`.
+            oplus, ominus, orplus, orminus = other
+            if plus >> low == oplus >> low:
+                oplus, ominus, orplus, orminus = ominus, oplus, orminus, orplus
+            if gf3:  # 1 + 1 = -1 and -1 + -1 = 1
+                plus, minus = _add_gf3(plus, minus, oplus, ominus)
+                if record:
+                    rplus, rminus = _add_gf3(rplus, rminus, orplus, orminus)
+            else:
+                if plus & oplus or minus & ominus or rplus & orplus or rminus & orminus:
+                    return None  # an entry 2 or -2
+                plus, minus = ((plus | oplus) & ~(minus | ominus),
+                               (minus | ominus) & ~(plus | oplus))
+                if record:
+                    rplus, rminus = ((rplus | orplus) & ~(rminus | orminus),
+                                     (rminus | orminus) & ~(rplus | orplus))
+    return list(pivots), free
+
+
+def _add_gf3(plus: int, minus: int, oplus: int, ominus: int) -> tuple[int, int]:
+    """The sum of two (plus, minus) vectors over GF(3)."""
+    support, osupport = plus | minus, oplus | ominus
+    return ((plus & ~osupport) | (oplus & ~support) | (minus & ominus),
+            (minus & ~osupport) | (ominus & ~support) | (plus & oplus))
+
+
+def _reduce_dict(columns, p: int | None, record: bool):
+    """`_reduce` on dict columns, a pair taken as its dict."""
     pivots: dict[int, dict[int, int]] = {}
     free = []
     for j, entries in enumerate(columns):
+        if type(entries) is tuple:
+            entries = _signed(*entries)
         scale = 1
         if p is not None:
             col = {i: y for i, x in entries.items() if (y := _residue(x, p))}
@@ -223,16 +299,20 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
 
 
 def _reduce_gf2(columns, record: bool):
-    """`_reduce` over GF(2) on int bit-vector columns, bit i for row i:
+    """`_reduce` over GF(2) on int bit-vector columns, bit i for row i,
+    read as ``plus | minus`` of a pair or from the odd entries of a dict:
     a column is combined with another by XOR, and its pivot is its
     highest bit.  The record is a second bit-vector, bit k for column k."""
     pivots: dict[int, tuple[int, int]] = {}
     free = []
     for j, entries in enumerate(columns):
-        col = 0
-        for i, x in entries.items():
-            if x & 1 if type(x) is int else _residue(x, 2):  # x & 1 is _residue of an int
-                col |= 1 << i
+        if type(entries) is tuple:
+            col = entries[0] | entries[1]
+        else:
+            col = 0
+            for i, x in entries.items():
+                if x & 1 if type(x) is int else _residue(x, 2):  # x & 1 is _residue of an int
+                    col |= 1 << i
         rec = 1 << j if record else 0
         while col:
             low = col.bit_length() - 1
@@ -243,18 +323,20 @@ def _reduce_gf2(columns, record: bool):
             col ^= other[0]
             rec ^= other[1]
         else:
-            free.append((j, _ones(rec) if record else None))
+            free.append((j, _signed(rec, 0) if record else None))
     return list(pivots), free
 
 
-def _ones(bits: int) -> dict[int, int]:
-    """The bit-vector `bits` as {index: 1} at each set bit, lowest first."""
-    ones = {}
-    while bits:
-        low = bits & -bits
-        ones[low.bit_length() - 1] = 1
-        bits ^= low
-    return ones
+def _signed(plus: int, minus: int, negative: int = -1) -> dict[int, int]:
+    """The (plus, minus) vector as a dict, lowest index first: 1 at each
+    bit of `plus`, `negative` (-1, or its residue) at each bit of `minus`."""
+    entries = {}
+    support = plus | minus
+    while support:
+        low = support & -support
+        entries[low.bit_length() - 1] = 1 if plus & low else negative
+        support ^= low
+    return entries
 
 
 def _eliminate(col: dict, other: dict, low: int, p: int | None) -> dict:
@@ -306,7 +388,8 @@ def _kernel(columns, nrows: int, field: FieldSpec) -> list[tuple[int, dict]]:
     for _, rec in basis:
         image: dict[int, int] = {}
         for k, x in rec.items():
-            for i, a in columns[k].items():
+            col = columns[k]
+            for i, a in (_signed(*col) if type(col) is tuple else col).items():
                 image[i] = image.get(i, 0) + x * a
         if any(s if p is None else _residue(s, p) for s in image.values()):
             raise AssertionError("nullspace vector fails verification")

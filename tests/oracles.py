@@ -30,6 +30,9 @@ left-to-right reduction from ranks of lower-left submatrices (the
 pairing lemma), and `kernel_by_enumeration` the kernel basis among all
 vectors of a small GF(p)^n, where the package reduces GF(2) columns as
 bit-vectors; both rank with `rank_modular` on residues taken here.
+`projection_cokernel_by_rank` ranks the projection of every pair of
+stars, where the package reads a star of one top cycle off the support
+of the projected cycles.
 `connectivity_by_all_pairs` runs the package's flow on every
 nonadjacent pair, where the package stops after the first κ + 1 sources.
 `betti_by_full_ranks` and `relative_betti_by_full_ranks` rank every
@@ -46,7 +49,8 @@ from fractions import Fraction
 import sympy
 
 from bstar.complexes import _rebuild, components, contrastar, from_facets, link
-from bstar.homology import _embedded_face_set, betti, betti_at, relative_betti
+from bstar.homology import (_embedded_face_set, _star_top_cycles, betti, betti_at,
+                            relative_betti)
 from bstar.linalg import sparse_rank
 from bstar.properties import ManifoldReport, _link_violation, is_buchsbaum
 from bstar.rigidity import _max_internally_disjoint
@@ -369,6 +373,16 @@ def relative_betti_by_full_ranks(c, excluded, field, i):
             - sparse_rank(upper, ncells, field))
 
 
+def projection_cokernel_by_rank(c, field, sm, tm):
+    """`homology._projection_cokernel` for face masks sm ⊆ tm, always by
+    rank: the top cycles of the star of tm less the rank of the top
+    cycles of the star of sm projected onto its top faces."""
+    _, ker_s = _star_top_cycles(c, field, sm)
+    cells_t, ker_t = _star_top_cycles(c, field, tm)
+    projected = [{j: z[m] for j, m in enumerate(cells_t) if m in z} for z in ker_s]
+    return len(ker_t) - sparse_rank(projected, len(cells_t), field)
+
+
 def link_walk_by_every_link(c, f):
     """`properties._link_walk` with no facet or ridge read off the facet
     list: the link of every nonempty face, by dimension and then sorted,
@@ -385,6 +399,13 @@ def link_walk_by_every_link(c, f):
             return tuple(tops), s, why
         tops.append(b[-1])
     return tuple(tops), None, None
+
+
+def signed_column(plus, minus):
+    """A (plus, minus) column of bit-vectors (see `linalg`) as {row: 1 or -1}."""
+    assert not plus & minus
+    return {**{i: 1 for i in range(plus.bit_length()) if plus >> i & 1},
+            **{i: -1 for i in range(minus.bit_length()) if minus >> i & 1}}
 
 
 def residue_columns(columns, p):

@@ -259,6 +259,16 @@ def test_verify_edge_case_corpus(capsys, tmp_path):
     assert data == json.loads(golden.read_text(encoding="utf-8"))
 
 
+def test_verify_exported_corpus(capsys, tmp_path):
+    """`verify` of the corpus that `construct corpus` writes passes every
+    check, with the report recorded in tests/data/verify_corpus_v1.json."""
+    assert run_cli(capsys, "construct", "corpus", str(tmp_path))[0] == 0
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path / "corpus-v1"))
+    assert code == 0
+    golden = Path(__file__).parent / "data" / "verify_corpus_v1.json"
+    assert json.loads(out) == json.loads(golden.read_text(encoding="utf-8"))
+
+
 def test_verify_builtin(capsys):
     code, out, _ = run_cli(capsys, "verify", "--builtin")
     data = json.loads(out)

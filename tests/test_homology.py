@@ -5,17 +5,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bstar.complexes import Complex, contrastar, deletion, from_facets, join, skeleton
+from bstar.complexes import Complex, _submasks, contrastar, deletion, from_facets, join, skeleton
 from bstar.constructions import (cross_polytope, example_2_10_iii, path, rp2_6,
                                  simplex, simplex_boundary, torus7)
 from bstar.homology import (betti, betti_at, contrastar_betti, inclusion_induced_is_zero,
                             reduced_euler_characteristic, relative_betti,
                             relative_surjectivity, top_projection_surjective,
-                            _boundary, _embedded_face_set, _kept_betti)
+                            _boundary, _embedded_face_set, _kept_betti,
+                            _projection_cokernel)
 from bstar.linalg import GF2, QQ, FieldSpec
 from bstar import clear_caches, homology, linalg
 from oracles import (betti_by_full_ranks, betti_numbers, pair_homology,
-                     relative_betti_by_full_ranks)
+                     projection_cokernel_by_rank, relative_betti_by_full_ranks,
+                     signed_column)
 from strategies import complexes_up_to_7_vertices
 
 FIELDS = (QQ, GF2, FieldSpec(3))
@@ -59,8 +61,8 @@ def test_boundary_squares_to_zero(torus, octahedron):
         for keep in (lambda m: True, lambda m: m not in excluded, lambda m: m & 1 == 1):
             cells = {d: [m for m in c.face_masks(d) if keep(m)] for d in range(-2, c.dim + 1)}
             for d in range(0, c.dim + 1):
-                upper = _boundary(cells[d], cells[d - 1])
-                lower = _boundary(cells[d - 1], cells[d - 2])
+                upper = [signed_column(*col) for col in _boundary(cells[d], cells[d - 1])]
+                lower = [signed_column(*col) for col in _boundary(cells[d - 1], cells[d - 2])]
                 assert len(upper) == len(cells[d]) and len(lower) == len(cells[d - 1])
                 assert all(0 <= i < len(cells[d - 1]) for col in upper for i in col)
                 for col in upper:
@@ -201,6 +203,24 @@ def test_surjectivity_failure_inside_filled_triangle():
         for s in itertools.combinations(sigma, k)
         if not relative_surjectivity(c, s, sigma, QQ)]
     assert nonempty_failures == []
+
+
+@given(complexes_up_to_7_vertices())
+@example(torus7())
+@example(rp2_6())
+@example(from_facets([(0, 1, 2), (2, 3)]))  # not pure
+@example(from_facets([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]))  # two cycles at 0
+@settings(max_examples=100, deadline=None)
+def test_projection_cokernel_matches_full_rank(c):
+    # every face t and every s ⊆ t, s = 0 (all of H_d) included: the
+    # shortcut for a star of one top cycle against the rank of the
+    # projections
+    for f in FIELDS:
+        for d in range(c.dim + 1):
+            for tm in c.face_masks(d):
+                for sm in (*_submasks(tm), 0):
+                    assert (_projection_cokernel(c, f, sm, tm)
+                            == projection_cokernel_by_rank(c, f, sm, tm))
 
 
 def test_top_projection_cases(triangle, torus):

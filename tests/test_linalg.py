@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import sympy
 
+from bstar import linalg
+from bstar.constructions import rp2_6
+from bstar.homology import _boundary
 from bstar.linalg import (GF2, QQ, FieldSpec, LinalgGuardError, is_prime, set_max_cells,
                           sparse_in_span, sparse_nullspace, sparse_pivots, sparse_rank)
 from oracles import (kernel_by_enumeration, pivot_rows_by_pairing, rank_by_minors,
-                     rank_modular, rank_of_columns, residue_columns)
+                     rank_modular, rank_of_columns, rank_rational, residue_columns,
+                     signed_column)
 
 # boundary map of a 3-cycle: rows = vertices, cols = edges 01, 02, 12
 CYCLE3_D1 = [
@@ -247,3 +251,61 @@ def test_even_denominator_has_no_residue_mod_2():
                  lambda m: sparse_in_span(*m, {0: 1}, GF2)):
         with pytest.raises(ValueError, match="no residue mod 2"):
             call(columns_of([[1, Fraction(1, 2)]]))
+
+
+@st.composite
+def signed_matrices(draw):
+    """Columns with entries in {-1, 0, 1} as (plus, minus) pairs, with now
+    and then a dict column holding 2, -2 or a Fraction, which sends the
+    whole matrix to the dict kernel; and every column as a dict."""
+    nrows = draw(st.integers(0, 7))
+    columns, dicts = [], []
+    for _ in range(draw(st.integers(1, 7))):
+        entries = {i: x for i in range(nrows) if (x := draw(st.sampled_from((-1, 0, 0, 1))))}
+        if nrows and draw(st.integers(0, 7)) == 0:
+            entries[draw(st.integers(0, nrows - 1))] = draw(
+                st.sampled_from((2, -2, Fraction(1, 2), Fraction(-2, 5))))
+            columns.append(entries)
+        else:
+            columns.append((sum(1 << i for i, x in entries.items() if x == 1),
+                            sum(1 << i for i, x in entries.items() if x == -1)))
+        dicts.append(entries)
+    return columns, dicts, nrows
+
+
+@given(signed_matrices(), st.sampled_from([QQ, FieldSpec(3)]))
+@settings(max_examples=300, deadline=None)
+def test_signed_kernel_matches_dict_kernel(matrix, field):
+    # pivots, free columns and records of the signed kernel (or of its
+    # fallback) against the dict kernel on the same matrix, and the rank
+    # against oracles that share no code with either
+    columns, dicts, nrows = matrix
+    p = field.p
+    for record in (False, True):
+        pivots, free = linalg._reduce(columns, nrows, p, record)
+        want_pivots, want_free = linalg._reduce_dict(dicts, p, record)
+        assert pivots == want_pivots
+        assert [j for j, _ in free] == [j for j, _ in want_free]
+        assert [rec for _, rec in free] == [rec for _, rec in want_free]
+        if record and p is not None:
+            assert all(0 < x < p for _, rec in free for x in rec.values())
+    if p is None:
+        m = sympy.Matrix(nrows, len(dicts), lambda i, j: dicts[j].get(i, 0))
+        assert len(pivots) == (rank_rational(m) if nrows else 0)
+    else:
+        assert len(pivots) == rank_of_columns(residue_columns(dicts, p), range(nrows), p)
+    assert sparse_nullspace(columns, nrows, field) == sparse_nullspace(dicts, nrows, field)
+
+
+def test_signed_kernel_falls_back_on_rp2():
+    # reducing the boundary of the 6-vertex projective plane over Q makes
+    # an entry 2, so the dict kernel ranks it; over GF(3) 1 + 1 = -1
+    c = rp2_6()
+    nrows = len(c.face_masks(1))
+    columns = _boundary(c.face_masks(2), c.face_masks(1))
+    dicts = [signed_column(*col) for col in columns]
+    assert linalg._reduce_signed(columns, None, False) is None
+    assert linalg._reduce_signed(columns, 3, True) is not None
+    for p, rank in ((None, 10), (3, 10), (2, 9)):
+        assert linalg._reduce(columns, nrows, p, True) == linalg._reduce_dict(dicts, p, True)
+        assert len(linalg._reduce(columns, nrows, p)[0]) == rank
