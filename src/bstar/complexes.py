@@ -136,6 +136,24 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def _face_set(facets: Iterable[int]) -> set[int]:
+    """The masks of all faces of `facets`, the empty face included, under
+    the face guard: the set never holds more than one face above it."""
+    limit = get_max_faces()
+    faces = {0}
+    for g in facets:
+        count = 1 << g.bit_count()  # the faces of g, the empty face included
+        if len(faces) + count <= limit + 1:  # all of them fit
+            faces.update(_submasks(g))
+        else:
+            _guard_faces(count)  # g alone has too many
+            for sub in _submasks(g):
+                faces.add(sub)
+                if len(faces) > limit:
+                    _guard_faces(len(faces))
+    return faces
+
+
 def _tuple_of(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -218,20 +236,8 @@ class Complex:
 
     @cached_property
     def _faces_by_dim(self) -> dict[int, tuple[int, ...]]:
-        limit = get_max_faces()
-        seen: set[int] = set()
-        for facet in self._facet_masks:
-            sub = facet
-            while True:
-                if sub not in seen:
-                    seen.add(sub)
-                    if len(seen) > limit:
-                        _guard_faces(len(seen))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & facet
         buckets: dict[int, list[int]] = {}
-        for m in seen:
+        for m in _face_set(self._facet_masks):
             buckets.setdefault(m.bit_count() - 1, []).append(m)
         return {d: tuple(sorted(ms, key=_tuple_of)) for d, ms in buckets.items()}
 

@@ -55,8 +55,9 @@ from __future__ import annotations
 
 import functools
 
-from .complexes import Complex, _bits, _contrastar_mask, _mask_of, _submasks, _tuple_of
-from .linalg import FieldSpec, _divided, _kernel, sparse_in_span, sparse_pivots, sparse_rank
+from .complexes import Complex, _bits, _contrastar_mask, _face_set, _mask_of, _tuple_of
+from .linalg import (FieldSpec, _check_cells, _divided, _kernel, sparse_in_span, sparse_pivots,
+                     sparse_rank)
 
 __all__ = [
     "BettiTable",
@@ -98,7 +99,10 @@ class BettiTable:
 def _boundary(cells, rows):
     """The boundary map from `cells` to `rows`, face masks one dimension
     apart, as signed pairs (see `linalg`): one column (plus, minus) per
-    cell, with a bit at each of its faces that is a row."""
+    cell, with a bit at each of its faces that is a row.  A column is as
+    wide as its highest row, so the cell guard of `linalg._reduce` is
+    checked before any is built."""
+    _check_cells(len(rows), len(cells))
     index = {m: i for i, m in enumerate(rows)}
     columns = []
     for m in cells:
@@ -178,10 +182,7 @@ def _embedded_face_set(a: Complex, c: Complex) -> set[int]:
     facets = [_mask_of(position[v] for v in _tuple_of(m)) for m in a._facet_masks]
     if not all(c.has_mask(g) for g in facets):
         raise ValueError("not a subcomplex: facet missing from the ambient complex")
-    faces = {0}
-    for g in facets:
-        faces.update(_submasks(g))
-    return faces
+    return _face_set(facets)
 
 
 def _kept_betti(c: Complex, keep, field: FieldSpec, i: int) -> int:

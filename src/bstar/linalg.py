@@ -37,13 +37,14 @@ One kernel per field and format, all behind ``_reduce``:
   highest bit of ``plus | minus``, and the record is a pair too.  Over
   GF(3) a sum stays in {-1, 0, 1}, as 1 + 1 = -1.  Over the rationals
   it can reach 2 or -2; the kernel then hands the whole matrix to the
-  dict kernel, as it does a matrix with a dict column.
-- The rationals and GF(3) on dicts, and GF(p) for p >= 5 on either
-  format (``_reduce_dict``): a column is a dict and the record sits at
-  negative rows.  Over the rationals the loop clears each column's
-  denominators (a column of ints is copied as it is) and then works
-  fraction-free on integers, dividing every combined column by the gcd
-  of its entries (``_eliminate``).
+  dict kernel.
+- The rationals and GF(3) on a matrix with a dict column, and GF(p) for
+  p >= 5 on either format (``_reduce_dict``): a column is a dict, a
+  pair read as its dict, and the record sits at negative rows.  Over
+  the rationals the loop clears each column's denominators (a column of
+  ints is copied as it is) and then works fraction-free on integers,
+  dividing every combined column by the gcd of its entries
+  (``_eliminate``).
 
 Every kernel gives the same pivots, in the same column order, and the
 same records.  While all entries stay in {-1, 0, 1}, the fraction-free
@@ -207,7 +208,7 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
     _check_cells(nrows, len(columns))
     if p == 2:
         return _reduce_gf2(columns, record)
-    if p is None or p == 3:
+    if (p is None or p == 3) and all(type(col) is tuple for col in columns):
         reduced = _reduce_signed(columns, p, record)
         if reduced is not None:
             return reduced
@@ -217,15 +218,12 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
 def _reduce_signed(columns, p: int | None, record: bool):
     """`_reduce` over the rationals or GF(3) on (plus, minus) columns;
     the record is a pair too, bit k for column k.  Returns None, for the
-    dict kernel to start over, at a dict column, or over the rationals
-    as soon as an entry of a column or record would leave {-1, 0, 1}."""
+    dict kernel to start over, over the rationals as soon as an entry of
+    a column or record would leave {-1, 0, 1}."""
     gf3 = p == 3
     pivots: dict[int, tuple[int, int, int, int]] = {}
     free = []
-    for j, col in enumerate(columns):
-        if type(col) is not tuple:
-            return None
-        plus, minus = col
+    for j, (plus, minus) in enumerate(columns):
         rplus, rminus = (1 << j if record else 0), 0
         while True:
             support = plus | minus

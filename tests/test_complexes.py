@@ -410,3 +410,18 @@ def test_face_guard(monkeypatch):
     c = from_facets([range(6)])
     with pytest.raises(FaceCountError):
         c.f_vector()
+
+
+@pytest.mark.parametrize("limit", [11, 12])
+def test_face_guard_is_exact(monkeypatch, limit):
+    # two triangles on an edge have 12 faces, the empty face included;
+    # under a guard of 12 the second facet's faces pass one at a time
+    monkeypatch.setattr(complexes, "_max_faces", limit)
+    c = from_facets([(0, 1, 2), (1, 2, 3)])
+    if limit < 12:
+        for faces in (c.f_vector, lambda: complexes._face_set(c._facet_masks)):
+            with pytest.raises(FaceCountError, match=f"face guard of {limit} faces"):
+                faces()
+    else:
+        assert len(complexes._face_set(c._facet_masks)) == 12
+        assert c.f_vector() == (1, 4, 5, 2)

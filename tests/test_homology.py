@@ -1,20 +1,23 @@
 import gc
+import tracemalloc
 import weakref
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bstar.complexes import Complex, _submasks, contrastar, deletion, from_facets, join, skeleton
-from bstar.constructions import (cross_polytope, example_2_10_iii, path, rp2_6,
+from bstar.complexes import (Complex, FaceCountError, _submasks, contrastar, deletion,
+                             from_facets, join, skeleton)
+from bstar.constructions import (cross_polytope, cycle, example_2_10_iii, path, rp2_6,
                                  simplex, simplex_boundary, torus7)
-from bstar.homology import (betti, betti_at, contrastar_betti, inclusion_induced_is_zero,
+from bstar.homology import (betti, betti_at, contrastar_betti, first_nonbounding_cycle,
+                            inclusion_induced_is_zero,
                             reduced_euler_characteristic, relative_betti,
                             relative_surjectivity, top_projection_surjective,
                             _boundary, _embedded_face_set, _kept_betti,
                             _projection_cokernel)
-from bstar.linalg import GF2, QQ, FieldSpec
-from bstar import clear_caches, homology, linalg
+from bstar.linalg import GF2, QQ, FieldSpec, LinalgGuardError
+from bstar import clear_caches, complexes, homology, linalg
 from oracles import (betti_by_full_ranks, betti_numbers, pair_homology,
                      projection_cokernel_by_rank, relative_betti_by_full_ranks,
                      signed_column)
@@ -136,6 +139,37 @@ def test_betti_hands_reduce_only_the_uncleared_columns(monkeypatch):
     # of the degree above, from the top down (in full: 8 + 24 + 32 + 16 = 80)
     assert handed == [16, 17, 7, 1]
     assert sum(handed) == 41
+
+
+def test_betti_refuses_a_map_above_the_cell_guard_before_building_it(monkeypatch):
+    # the boundary of a 6000-cycle has 6000 x 6000 cells, one above the
+    # guard set here; its pair columns, each as wide as its highest row,
+    # would take about n^2 / 8 bytes (4.5 MB), and none is built
+    n = 6000
+    c = cycle(n)
+    c.f_vector()  # the faces are enumerated outside the measurement
+    monkeypatch.setattr(linalg, "_max_cells", n * n - 1)
+    tracemalloc.start()
+    try:
+        for field in FIELDS:
+            with pytest.raises(LinalgGuardError, match=f"{n}x{n} cells"):
+                betti(c, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_subcomplex_embedding_keeps_the_face_guard(monkeypatch):
+    # a subcomplex is embedded by the submasks of its facets, under the
+    # face guard of `Complex.face_masks`
+    monkeypatch.setattr(complexes, "_max_faces", 1000)
+    c = from_facets([range(12)])  # 4096 faces
+    for call in (lambda: relative_betti(c, c, QQ, 0),
+                 lambda: inclusion_induced_is_zero(c, c, 0, QQ),
+                 lambda: first_nonbounding_cycle(c, c, 0, QQ)):
+        with pytest.raises(FaceCountError, match="face guard of 1000 faces"):
+            call()
 
 
 def test_euler_characteristic_agrees(torus, octahedron, projective_plane):

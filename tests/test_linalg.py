@@ -297,6 +297,19 @@ def test_signed_kernel_matches_dict_kernel(matrix, field):
     assert sparse_nullspace(columns, nrows, field) == sparse_nullspace(dicts, nrows, field)
 
 
+def test_a_dict_column_goes_to_the_dict_kernel_from_the_start(monkeypatch):
+    # `sparse_in_span` appends its vector last, so a dict vector after
+    # pair columns must not make the signed kernel eliminate them first
+    def no_signed_kernel(*args):
+        raise AssertionError("signed kernel run on a matrix with a dict column")
+
+    monkeypatch.setattr(linalg, "_reduce_signed", no_signed_kernel)
+    columns = [(0b011, 0), (0b110, 0)]  # rows 0 + 1 and rows 1 + 2
+    for field in (QQ, FieldSpec(3)):
+        assert sparse_in_span(columns, 3, {0: 1, 1: 2, 2: 1}, field)
+        assert not sparse_in_span(columns, 3, {0: 1}, field)
+
+
 def test_signed_kernel_falls_back_on_rp2():
     # reducing the boundary of the 6-vertex projective plane over Q makes
     # an entry 2, so the dict kernel ranks it; over GF(3) 1 + 1 = -1
