@@ -267,10 +267,10 @@ def _reduce_dict(columns, p: int | None, record: bool):
     pivots: dict[int, dict[int, int]] = {}
     free = []
     for j, entries in enumerate(columns):
-        if type(entries) is tuple:
-            entries = _signed(*entries)
         scale = 1
-        if p is not None:
+        if type(entries) is tuple:  # entries 1 and -1, or its residue
+            col = _signed(*entries, -1 if p is None else p - 1)
+        elif p is not None:
             col = {i: y for i, x in entries.items() if (y := _residue(x, p))}
         elif all(type(x) is int for x in entries.values()):
             col = {i: x for i, x in entries.items() if x}
