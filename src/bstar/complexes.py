@@ -9,7 +9,9 @@ Faces cross the public API as sorted tuples of vertex indices; internally
 every face is a bitmask int over the vertex set, and the deciders keep it
 so up to the witness, the one place a tuple is made (`describe_face`).
 `_link` is `link` of a mask, and `_bits` the one iterator over the
-vertices of a mask.
+vertices of a mask.  `_face_set` is the one enumeration of the faces of
+a list of facets, under the face guard: `Complex.face_masks` and
+`homology._embedded_face_set` both read it.
 
 Costs follow the faces, never the vertex subsets.  Purity
 (`Complex.is_pure`) compares the smallest and largest facet.  Flagness
