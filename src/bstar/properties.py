@@ -19,8 +19,9 @@ with β = (1), and a ridge in k facets has k points as its link, with
 neither can fail, so only faces of dimension ≤ d − 2 build a link; a
 graph builds none.  A non-pure complex builds the link of every face.
 Each link is built once per shape for every field: the walk over one
-field puts the label-free link shapes in `_link_shapes`, and the walks
-over other fields rank those shapes without building a link.
+field puts the label-free link shapes in `_link_shapes`, in walk order,
+and the walks over other fields rank those shapes without building a
+link.
 
 Buchsbaum*: removing the open star of any nonempty face F keeps the
 reduced Betti number one below the top dimension d.  For a Buchsbaum
@@ -187,11 +188,13 @@ def _link_violation(b: tuple[int, ...], top: int | None) -> str | None:
 
 
 @_by_shape
-def _link_shapes(c: Complex) -> tuple[dict[int, tuple], dict[tuple, tuple]]:
-    """Face mask -> the shape (facet masks, vertex count) of its link, with
-    no label, and every distinct shape, held once: filled by the link walks
-    of every field, so each link of a shape is built once."""
-    return {}, {}
+def _link_shapes(c: Complex) -> tuple[list[tuple], dict[tuple, tuple]]:
+    """The shape (facet masks, vertex count) of each link the walks have
+    passed, with no label, in walk order, and every distinct shape, held
+    once: every field's walk visits the faces in one order from the start,
+    so entry i is the same face's link each time, and each link of a shape
+    is built once."""
+    return [], {}
 
 
 def _cofacet_counts(c: Complex) -> dict[int, int]:
@@ -217,20 +220,19 @@ def _link_walk(c: Complex, f: FieldSpec):
     d, pure = c.dim, c.is_pure
     shapes, distinct = _link_shapes(c)
     tops = []
-    for e in range(0, d - 1 if pure else d + 1):
-        for face in c.face_masks(e):
-            shape = shapes.get(face)
-            if shape is None:
-                lk = _link(c, face)
-                shape = lk._facet_masks, lk.n_vertices
-                shapes[face] = distinct.setdefault(shape, shape)
-            else:
-                lk = _shaped(*shape)
-            b = betti(lk, f).betti
-            why = _link_violation(b, None)
-            if why:
-                return tuple(tops), face, why
-            tops.append(b[-1])
+    walk = (face for e in range(0, d - 1 if pure else d + 1) for face in c.face_masks(e))
+    for i, face in enumerate(walk):
+        if i < len(shapes):
+            lk = _shaped(*shapes[i])
+        else:
+            lk = _link(c, face)
+            shape = lk._facet_masks, lk.n_vertices
+            shapes.append(distinct.setdefault(shape, shape))
+        b = betti(lk, f).betti
+        why = _link_violation(b, None)
+        if why:
+            return tuple(tops), face, why
+        tops.append(b[-1])
     if pure and d >= 1:
         counts = _cofacet_counts(c)
         tops += [counts[r] - 1 for r in c.face_masks(d - 1)]

@@ -6,6 +6,17 @@ offending instances, if any.  `run_battery` runs the whole suite; checks
 marked builtin-only compare against expected verdicts of the named corpus
 and are skipped for user-supplied corpora.
 
+Each check is a pure function of (entries, fields), so the battery runs
+on one worker per usable CPU: the process itself and forked children.
+Every worker claims the next check index from one pipe, a byte per
+check, and each child sends back the results of the checks that
+returned.  A check that no worker finished, because it raised or its
+worker died, runs again in the process afterwards, and the results come
+back in `ALL_CHECKS` order.  So the report is byte-identical on any
+number of CPUs, the first failing check raises as in one loop, and one
+CPU, a process with threads or a platform without `os.fork` runs that
+loop with no fork.
+
 The surjectivity oracle ranks the Betti number of each face's contrastar
 in place with `contrastar_betti`, on the cells of the complex that do not
 contain the face, with the boundary maps of the contrastar itself and no
@@ -22,6 +33,10 @@ runs once per facet pair for all its fields and degrees.
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
+from functools import partial
 from math import comb
 
 from .complexes import _submasks, components, contrastar, join, link, skeleton
@@ -618,29 +633,115 @@ ALL_CHECKS = [
 ]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _claim(calls, queue: int) -> dict[int, TheoremResult]:
+    """Run the check of each index read from the queue pipe, one byte at a
+    time, until the queue is empty.  A check that raises is left out: the
+    parent runs it again, in check order, and so raises as a loop would."""
+    done = {}
+    while index := os.read(queue, 1):
+        try:
+            done[index[0]] = calls[index[0]]()
+        except Exception:
+            pass
+    return done
+
+
+def _pooled(calls) -> dict[int, TheoremResult]:
+    """Run `calls` on a fork pool of one worker per usable CPU, the parent
+    included, and return the result of each call that returned, by index.
+    Every worker claims the next index from one shared pipe.  The pool is
+    skipped, and nothing is returned, on one CPU, without `os.fork`, or in
+    a process with threads, which forking is unsafe in."""
+    threading = sys.modules.get("threading")
+    workers = min(_usable_cpus(), len(calls))
+    if workers < 2 or not hasattr(os, "fork") or \
+            (threading is not None and threading.active_count() > 1):
+        return {}
+    assert len(calls) <= 256, "the queue holds check indices as single bytes"
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(calls))))
+    os.close(feed)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}  # pid -> its result pipe, until reaped
+    try:
+        for _ in range(workers - 1):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # the parent's share grows instead
+                os.close(out)
+                os.close(into)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(out)
+                    with open(into, "wb") as fh:
+                        marshal.dump({i: (res.name, res.passed, res.details)
+                                      for i, res in _claim(calls, queue).items()}, fh)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(into)
+            children[pid] = open(out, "rb")
+        done = _claim(calls, queue)
+        for pid, fh in list(children.items()):
+            with fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status == 0:
+                for i, (name, passed, details) in marshal.loads(data).items():
+                    done[i] = TheoremResult(name, passed)
+                    done[i].details = details
+        return done
+    finally:
+        os.close(queue)
+        if children:  # an error path: stop and reap every worker left
+            import signal  # loaded here only: `verify` pays for each import
+
+            for pid, fh in children.items():
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_battery(entries=None, fields=DEFAULT_FIELDS, seed=0) -> list[TheoremResult]:
     """Run every applicable check; `entries` defaults to the built-in corpus.
 
     Checks that compare against expected verdicts of specific named
-    complexes (`BUILTIN_ONLY`) are skipped for any other corpus.
+    complexes (`BUILTIN_ONLY`) are skipped for any other corpus.  The
+    checks run on every usable CPU (`_pooled`); a check that no worker
+    finished runs here afterwards, in check order, so the results and the
+    first exception are those of one loop over `ALL_CHECKS`.
     """
     builtin = entries is None
     if builtin:
         entries = list(corpus())
     entries = list(entries)
     fields = tuple(fields)
-    results = []
-    for chk in ALL_CHECKS:
-        # the benchmark's tracer wraps checks with functools.wraps
-        if not builtin and getattr(chk, "__wrapped__", chk) in BUILTIN_ONLY:
-            continue
-        if chk is check_cm_collapse:
-            results.append(chk(entries, fields, minimum_slice=12 if builtin else 0))
-        elif chk is check_flag_bounds:
-            eq = ("cycle4", "cross_polytope3", "cross_polytope4") if builtin else ()
-            results.append(chk(entries, fields, expect_equality=eq))
-        elif chk is check_rigidity_connectivity:
-            results.append(chk(entries, fields, seed=seed))
-        else:
-            results.append(chk(entries, fields))
-    return results
+
+    def plain(chk):
+        # the benchmark's tracer wraps the checks with functools.wraps, in
+        # ALL_CHECKS and under their names in this module
+        return getattr(chk, "__wrapped__", chk)
+
+    arguments = {
+        plain(check_cm_collapse): {"minimum_slice": 12 if builtin else 0},
+        plain(check_flag_bounds): {"expect_equality": ("cycle4", "cross_polytope3",
+                                                       "cross_polytope4") if builtin else ()},
+        plain(check_rigidity_connectivity): {"seed": seed},
+    }
+    calls = [partial(chk, entries, fields, **arguments.get(plain(chk), {}))
+             for chk in ALL_CHECKS if builtin or plain(chk) not in BUILTIN_ONLY]
+    done = _pooled(calls)
+    return [done[i] if i in done else call() for i, call in enumerate(calls)]
