@@ -441,7 +441,10 @@ def join(g: Complex, d: Complex) -> Complex:
 
 
 def cone(c: Complex, apex_label: Hashable = "apex") -> Complex:
-    """Join of `c` with a single new vertex."""
+    """Join of `c` with a single new vertex, labelled `apex_label`, which
+    must not be a label of `c`."""
+    if apex_label in c.labels:
+        raise ValueError(f"apex label {apex_label!r} is already a vertex label")
     apex = 1 << c.n_vertices
     masks = [f | apex for f in c._facet_masks]
     return Complex(masks, c.n_vertices + 1, c.labels + (apex_label,))

@@ -9,31 +9,44 @@ of a face drops its k-th smallest vertex with sign (-1)^k.
 pair (plus, minus) of `linalg` per cell its caller names, as face masks:
 a bit at each face of the cell among the rows its caller names, in plus
 where the face drops the cell's k-th smallest vertex for an even k, in
-minus for an odd k.  A face that is not a row gives no entry.  So over
-Q and GF(3) boundary maps go to the signed bit-vector kernel of
-`linalg`, and over GF(2) to its XOR kernel, with no dict on the way.
-The callers name the faces of a whole complex, those outside a
-subcomplex (a pair), those inside a subcomplex (its cycles and the
-chains they may bound in), those that do not contain a face (its
-contrastar), and the top facets through a face with their ridges through
-it (a star, read from the facets through the face's lowest vertex in the
-facet index of `complexes`, so no other facet or face is visited).  Every
-rank and span test goes to the sparse entry points of `linalg`.  A
-subcomplex enters as its face masks in the ambient complex, matched by
-label in `_embedded_face_set`, which maps only its facets.
+minus for an odd k.  A face that is not a row gives no entry.  So
+boundary maps go to the bit-vector kernel of `linalg` over GF(2), GF(3)
+and Q, with no dict on the way.  The callers name the faces of a whole
+complex, those outside a subcomplex (a pair), those inside a subcomplex
+(its cycles and the chains they may bound in), those that do not contain
+a face (its contrastar), and the top facets through a face with their
+ridges through it (a star, read from the facets through the face's
+lowest vertex in the facet index of `complexes`, so no other facet or
+face is visited).  Every rank and span test goes to the sparse entry
+points of `linalg`.  A subcomplex enters as its face masks in the
+ambient complex, matched by label in `_embedded_face_set`, which maps
+only its facets.
 
 Every cycle basis comes from `linalg._kernel`, whose vectors over Q are
 integral and unscaled, so a projection or span test meets no
 ``Fraction``.  Only `first_nonbounding_cycle` scales its cycle to 1 at
 its last face, as `sparse_nullspace` would.
 
-`_kept_betti` gives the homology of the cells a predicate keeps, under
-the boundary of the whole complex: of a pair (`relative_betti`) or of a
-contrastar (`contrastar_betti`), which is never built as a complex.  Its
-degree -1 counts the empty face only where the predicate keeps it: never
-for a pair, whose subcomplex holds the empty face, always for a
-contrastar, so the contrastar {∅} of the only vertex of a point has
-beta_{-1} = 1.
+`_kept_betti` is the one loop that ranks Betti numbers: of the cells a
+predicate keeps, under the boundary of the whole complex, for the
+degrees from a given one up to the top.  It keeps every cell for a
+complex (`betti`), the cells outside a subcomplex for a pair
+(`relative_betti`, the orientability of a manifold with boundary, the
+facet-pair excision of `theorems`) and the cells that do not contain a
+face for a contrastar (`contrastar_betti`), which is never built as a
+complex.  Its degree -1 counts the empty face only where the predicate
+keeps it: never for a pair, whose subcomplex holds the empty face,
+always for a contrastar, so the contrastar {∅} of the only vertex of a
+point has beta_{-1} = 1.
+
+The loop ranks from the top degree down, with clearing (Chen-Kerber 2011,
+"Persistent homology computation with a twist"; see `linalg`): each
+pivot row of the boundary map out of the (i+1)-cells is an i-cell whose
+column in the map out of the i-cells would reduce to zero, so it is
+left out of the cells handed to `_boundary`, and the rank is the number
+of pivots of the columns that are left.  The kept rows of each degree
+are the cells of the next one down, and a map with no rows, such as the
+one out of the vertices of a pair, is rank 0 without elimination.
 
 The projection of top cycles between stars (`_projection_cokernel`)
 ranks the projected cycles only when the star of the larger face has
@@ -41,14 +54,6 @@ more than one top cycle.  The projections lie in the span of that
 star's cycles, so with one cycle the rank is 1 if a projection is
 nonzero, that is, if a cycle of the smaller star is nonzero on a top
 face through the larger face, and 0 otherwise.
-
-Betti numbers, of a complex, a pair or a contrastar, are ranked from the
-top degree down, with clearing (Chen-Kerber 2011, "Persistent homology
-computation with a twist"; see `linalg`): each pivot row of the boundary
-map out of the (i+1)-cells is an i-cell whose column in the map out of
-the i-cells would reduce to zero, so it is left out of the cells handed
-to `_boundary`, and the rank is the number of pivots of the columns that
-are left.
 """
 
 from __future__ import annotations
@@ -140,20 +145,32 @@ def _by_shape(fn):
     return memo
 
 
+def _kept_betti(c: Complex, keep, field: FieldSpec, low: int = -1) -> tuple[int, ...]:
+    """dim H_i, for i = low, ..., dim c, of the cells of c that `keep`
+    accepts (every cell for None), under the boundary of c: the chain
+    complex of c, the quotient chain complex of a pair when they are the
+    cells outside a subcomplex, or the chain complex of a subcomplex when
+    they are its cells.  Degree -1 is the empty face, so it counts only
+    if `keep` accepts it.  Ranked by clearing, from the top down (see
+    the module docstring)."""
+    def kept(d):
+        return c.face_masks(d) if keep is None else [m for m in c.face_masks(d) if keep(m)]
+
+    betti = []
+    cells, cleared, rank_above = kept(c.dim), (), 0
+    for i in range(c.dim, low - 1, -1):
+        rows, pivots = kept(i - 1), ()
+        if rows:
+            pivots = sparse_pivots(_boundary([m for m in cells if m not in cleared], rows),
+                                   len(rows), field)
+        betti.append(len(cells) - len(pivots) - rank_above)
+        cells, cleared, rank_above = rows, {rows[r] for r in pivots}, len(pivots)
+    return tuple(reversed(betti))
+
+
 @_by_shape
 def betti(c: Complex, field: FieldSpec) -> BettiTable:
-    # Ranked from the top degree down, with clearing (see the module docstring).
-    ranks = [0] * (c.dim + 3)  # ranks[i + 1]: rank of the boundary out of the i-cells
-    cleared = frozenset()
-    for i in range(c.dim, -1, -1):
-        rows = c.face_masks(i - 1)
-        columns = _boundary([m for m in c.face_masks(i) if m not in cleared], rows)
-        pivots = sparse_pivots(columns, len(rows), field)
-        ranks[i + 1] = len(pivots)
-        cleared = {rows[r] for r in pivots}
-        del columns, rows, pivots  # one matrix alive at a time
-    return BettiTable(field, tuple(len(c.face_masks(i)) - ranks[i + 1] - ranks[i + 2]
-                                   for i in range(-1, c.dim + 1)))
+    return BettiTable(field, _kept_betti(c, None, field))
 
 
 def betti_at(c: Complex, field: FieldSpec, i: int) -> int:
@@ -185,25 +202,10 @@ def _embedded_face_set(a: Complex, c: Complex) -> set[int]:
     return _face_set(facets)
 
 
-def _kept_betti(c: Complex, keep, field: FieldSpec, i: int) -> int:
-    """dim H_i of the cells of c that `keep` accepts, under the boundary of
-    c: the quotient chain complex of a pair when they are the cells outside
-    a subcomplex, the chain complex of a subcomplex when they are its cells.
-    Degree -1 is the empty face, so it counts only if `keep` accepts it."""
-    if i < -1 or i > c.dim:
-        return 0
-    rows, cells, above = ([m for m in c.face_masks(d) if keep(m)] for d in (i - 1, i, i + 1))
-    # the upper map first: its pivot rows clear columns of the lower one
-    pivots = sparse_pivots(_boundary(above, cells), len(cells), field)
-    cleared = {cells[r] for r in pivots}
-    lower = _boundary([m for m in cells if m not in cleared], rows)
-    return len(cells) - len(pivots) - sparse_rank(lower, len(rows), field)
-
-
 def relative_betti(c: Complex, a: Complex, field: FieldSpec, i: int) -> int:
     """dim H_i of the pair (c, a), computed from the quotient chain complex."""
     excluded = _embedded_face_set(a, c)
-    return _kept_betti(c, lambda m: m not in excluded, field, i)
+    return _kept_betti(c, lambda m: m not in excluded, field, i)[0] if -1 <= i <= c.dim else 0
 
 
 def contrastar_betti(c: Complex, face, field: FieldSpec, i: int) -> int:
@@ -211,7 +213,7 @@ def contrastar_betti(c: Complex, face, field: FieldSpec, i: int) -> int:
     ranked on the cells of c that do not contain it, so no contrastar is
     built; 0 outside -1..dim."""
     s = _contrastar_mask(c, face)
-    return _kept_betti(c, lambda m: m & s != s, field, i)
+    return _kept_betti(c, lambda m: m & s != s, field, i)[0] if -1 <= i <= c.dim else 0
 
 
 def inclusion_induced_is_zero(a: Complex, c: Complex, i: int, field: FieldSpec) -> bool:

@@ -26,27 +26,26 @@ ValueError if p divides b), through ``_residue``.  ``sparse_pivots``,
 ``sparse_rank``, ``sparse_nullspace`` and ``sparse_in_span`` take
 either format; they are the one entry point per operation.
 
-One kernel per field and format, all behind ``_reduce``:
+Two kernels, behind ``_reduce``:
 
-- GF(2), either format (``_reduce_gf2``): a column is one bit-vector,
-  ``plus | minus`` of a pair or the odd entries of a dict.  Columns
-  combine by XOR, the pivot is the highest bit (``bit_length() - 1``),
-  and the record of operations is a second bit-vector.
-- The rationals and GF(3) on pairs (``_reduce_signed``): columns
-  combine by AND, OR and AND-NOT of their bit-vectors, the pivot is the
-  highest bit of ``plus | minus``, and the record is a pair too.  Over
-  GF(3) a sum stays in {-1, 0, 1}, as 1 + 1 = -1.  Over the rationals
-  it can reach 2 or -2; the kernel then hands the whole matrix to the
-  dict kernel.
-- The rationals and GF(3) on a matrix with a dict column, and GF(p) for
-  p >= 5 on either format (``_reduce_dict``): a column is a dict, a
-  pair read as its dict, and the record sits at negative rows.  Over
-  the rationals the loop clears each column's denominators (a column of
-  ints is copied as it is) and then works fraction-free on integers,
-  dividing every combined column by the gcd of its entries
-  (``_eliminate``).
+- Bits (``_reduce_signed``), for every matrix over GF(2), a dict
+  column read as the pair (its odd rows, 0), and every matrix of pairs
+  over GF(3) and the rationals.  The pivot is the highest bit of
+  ``plus | minus`` and the record is a pair too.  Over GF(2) a column
+  is one bit-vector, ``plus | minus``, and columns combine by XOR.
+  Over GF(3) and the rationals they combine by AND, OR and AND-NOT of
+  their bit-vectors.  Over GF(3) a sum stays in {-1, 0, 1}, as
+  1 + 1 = -1.  Over the rationals it can reach 2 or -2; the kernel then
+  hands the whole matrix to the dict kernel.
+- Dicts (``_reduce_dict``), for everything else: the rationals and
+  GF(3) on a matrix with a dict column, and GF(p) for p >= 5 on either
+  format.  A column is a dict, a pair read as its dict, and the record
+  sits at negative rows.  Over the rationals the loop clears each
+  column's denominators (a column of ints is copied as it is) and then
+  works fraction-free on integers, dividing every combined column by
+  the gcd of its entries (``_eliminate``).
 
-Every kernel gives the same pivots, in the same column order, and the
+Both kernels give the same pivots, in the same column order, and the
 same records.  While all entries stay in {-1, 0, 1}, the fraction-free
 step adds or subtracts the pivot column and divides by a gcd of 1,
 which is the signed kernel's step.  ``_kernel`` hands the records to
@@ -66,7 +65,7 @@ its columns that are not pivot rows of d', over every field.
 
 ``_reduce`` refuses a matrix of more than ``set_max_cells`` rows x
 columns, counting the matrix it is handed (for a cleared boundary map,
-the columns that are left), on every kernel, and ``_kernel`` checks each
+the columns that are left), on both kernels, and ``_kernel`` checks each
 kernel vector against the matrix before returning it.
 """
 
@@ -206,38 +205,41 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
     None.
     """
     _check_cells(nrows, len(columns))
-    if p == 2:
-        return _reduce_gf2(columns, record)
-    if (p is None or p == 3) and all(type(col) is tuple for col in columns):
-        reduced = _reduce_signed(columns, p, record)
-        if reduced is not None:
-            return reduced
-    return _reduce_dict(columns, p, record)
+    if p == 2:  # a dict column as the pair of its odd rows
+        columns = [col if type(col) is tuple
+                   else (sum(1 << i for i, x in col.items() if _residue(x, 2)), 0)
+                   for col in columns]
+    elif p not in (None, 3) or not all(type(col) is tuple for col in columns):
+        return _reduce_dict(columns, p, record)
+    reduced = _reduce_signed(columns, p, record)
+    return _reduce_dict(columns, p, record) if reduced is None else reduced
 
 
 def _reduce_signed(columns, p: int | None, record: bool):
-    """`_reduce` over the rationals or GF(3) on (plus, minus) columns;
-    the record is a pair too, bit k for column k.  Returns None, for the
-    dict kernel to start over, over the rationals as soon as an entry of
-    a column or record would leave {-1, 0, 1}."""
-    gf3 = p == 3
+    """`_reduce` over GF(2), GF(3) or the rationals on (plus, minus)
+    columns; the record is a pair too, bit k for column k.  Returns None,
+    for the dict kernel to start over, over the rationals as soon as an
+    entry of a column or record would leave {-1, 0, 1}."""
+    gf2, gf3 = p == 2, p == 3
     pivots: dict[int, tuple[int, int, int, int]] = {}
     free = []
     for j, (plus, minus) in enumerate(columns):
+        if gf2:  # -1 = 1
+            plus, minus = plus | minus, 0
         rplus, rminus = (1 << j if record else 0), 0
-        while True:
-            support = plus | minus
-            if not support:
-                free.append((j, _signed(rplus, rminus, 2 if gf3 else -1) if record else None))
-                break
+        while support := plus | minus:
             low = support.bit_length() - 1
             other = pivots.get(low)
             if other is None:
                 pivots[low] = plus, minus, rplus, rminus
                 break
+            if gf2:  # minus stays 0: add by XOR
+                plus ^= other[0]
+                rplus ^= other[2]
+                continue
+            oplus, ominus, orplus, orminus = other
             # Add the other column, or subtract it (add it with plus and
             # minus swapped) where both have the same sign at `low`.
-            oplus, ominus, orplus, orminus = other
             if plus >> low == oplus >> low:
                 oplus, ominus, orplus, orminus = ominus, oplus, orminus, orplus
             if gf3:  # 1 + 1 = -1 and -1 + -1 = 1
@@ -252,6 +254,8 @@ def _reduce_signed(columns, p: int | None, record: bool):
                 if record:
                     rplus, rminus = ((rplus | orplus) & ~(rminus | orminus),
                                      (rminus | orminus) & ~(rplus | orplus))
+        else:
+            free.append((j, _signed(rplus, rminus, 2 if gf3 else -1) if record else None))
     return list(pivots), free
 
 
@@ -293,35 +297,6 @@ def _reduce_dict(columns, p: int | None, record: bool):
                 pivots[low] = col
                 break
             col = _eliminate(col, other, low, p)
-    return list(pivots), free
-
-
-def _reduce_gf2(columns, record: bool):
-    """`_reduce` over GF(2) on int bit-vector columns, bit i for row i,
-    read as ``plus | minus`` of a pair or from the odd entries of a dict:
-    a column is combined with another by XOR, and its pivot is its
-    highest bit.  The record is a second bit-vector, bit k for column k."""
-    pivots: dict[int, tuple[int, int]] = {}
-    free = []
-    for j, entries in enumerate(columns):
-        if type(entries) is tuple:
-            col = entries[0] | entries[1]
-        else:
-            col = 0
-            for i, x in entries.items():
-                if x & 1 if type(x) is int else _residue(x, 2):  # x & 1 is _residue of an int
-                    col |= 1 << i
-        rec = 1 << j if record else 0
-        while col:
-            low = col.bit_length() - 1
-            other = pivots.get(low)
-            if other is None:
-                pivots[low] = col, rec
-                break
-            col ^= other[0]
-            rec ^= other[1]
-        else:
-            free.append((j, _signed(rec, 0) if record else None))
     return list(pivots), free
 
 

@@ -472,7 +472,7 @@ def is_homology_manifold(c: Complex, f: FieldSpec) -> ManifoldReport:
                               "boundary faces do not form a subcomplex")
     ncomp = betti_at(c, f, 0) + 1  # over any field, as c is nonempty
     # H_d of the pair (c, boundary), on the nonempty faces off the boundary
-    orientable = _kept_betti(c, lambda m: m and m not in boundary_faces, f, d) == ncomp
+    orientable = _kept_betti(c, lambda m: m and m not in boundary_faces, f, d) == (ncomp,)
     return ManifoldReport(True, False, _rebuild(boundary_faces, c), orientable, ball_note)
 
 

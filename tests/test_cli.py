@@ -159,6 +159,16 @@ def test_construct_rejects_labels_that_print_alike(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_construct_cone_refuses_a_base_vertex_named_apex(capsys, tmp_path):
+    src = tmp_path / "named-apex.json"
+    src.write_text('{"facets": [["apex", "b"], ["b", "c"]]}')
+    out = tmp_path / "cone.json"
+    code, _, err = run_cli(capsys, "construct", "cone", str(src), str(out))
+    assert code == 2
+    assert "apex label 'apex' is already a vertex label" in err
+    assert not out.exists()
+
+
 def test_check_reads_text_format(capsys, tmp_path):
     p = tmp_path / "triangle.txt"
     p.write_text("a b\nb c\na c\n")

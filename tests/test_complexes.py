@@ -167,6 +167,15 @@ def test_cone_examples(octahedron):
     assert ball.n_vertices == 7 and ball.dim == 3
 
 
+def test_cone_refuses_an_apex_label_of_the_base():
+    c = from_facets([("apex", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match="apex label 'apex' is already a vertex label"):
+        cone(c)
+    with pytest.raises(ValueError, match="apex label 'b'"):
+        cone(c, "b")
+    assert cone(c, "d").labels == ("apex", "b", "c", "d")
+
+
 def test_predicates(octahedron, torus):
     assert octahedron.is_pure and is_flag(octahedron) and len(components(octahedron)) == 1
     assert len(octahedron.faces(1)) == 12

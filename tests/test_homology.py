@@ -98,9 +98,12 @@ def test_relative_betti_matches_full_ranks(c, k):
     for a in subcomplexes:
         excluded = _embedded_face_set(a, c)
         for f in FIELDS:
-            for i in range(-1, c.dim + 2):
-                assert (_kept_betti(c, lambda m: m not in excluded, f, i)
-                        == relative_betti_by_full_ranks(c, excluded, f, i))
+            table = [relative_betti_by_full_ranks(c, excluded, f, i)
+                     for i in range(-1, c.dim + 1)]
+            for low in range(-1, c.dim + 1):
+                assert (_kept_betti(c, lambda m: m not in excluded, f, low)
+                        == tuple(table[low + 1:]))
+            assert relative_betti(c, a, f, c.dim + 1) == 0
 
 
 @given(complexes_up_to_7_vertices())
@@ -139,6 +142,27 @@ def test_betti_hands_reduce_only_the_uncleared_columns(monkeypatch):
     # of the degree above, from the top down (in full: 8 + 24 + 32 + 16 = 80)
     assert handed == [16, 17, 7, 1]
     assert sum(handed) == 41
+
+
+def test_a_pair_table_reduces_each_boundary_map_once(monkeypatch):
+    handed = []
+    reduce = linalg._reduce
+
+    def counting_reduce(columns, nrows, *args, **kwargs):
+        handed.append((len(columns), nrows))
+        return reduce(columns, nrows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_reduce", counting_reduce)
+    c = cross_polytope(4)
+    excluded = _embedded_face_set(contrastar(c, c.faces(0)[0]), c)
+    for f in FIELDS:
+        handed.clear()
+        assert _kept_betti(c, lambda m: m not in excluded, f) == (0, 0, 0, 0, 1)
+        # the kept cells are the 1 + 6 + 12 + 8 faces through a vertex; from
+        # the top down each map is handed over once, less the columns the
+        # map above cleared, and the map out of the vertex, with no row
+        # (the empty face is not kept), is not handed over at all
+        assert handed == [(8, 12), (5, 6), (1, 1)]
 
 
 def test_betti_refuses_a_map_above_the_cell_guard_before_building_it(monkeypatch):

@@ -110,6 +110,17 @@ def test_rigidity_path_flexible():
     assert not is_generically_d_rigid(g, 2)
 
 
+def test_rigidity_of_graphs_with_at_most_d_plus_1_vertices():
+    # n <= d + 1 points in general position span an (n-1)-simplex, so the
+    # graph is rigid iff it is complete: the target rank is C(n, 2)
+    assert is_generically_d_rigid(complete_graph(3), 4)
+    assert not is_generically_d_rigid(graph_of(path(3)), 4)
+    assert not is_generically_d_rigid(Graph(2, frozenset()), 3)
+    assert is_generically_d_rigid(complete_graph(5), 7)
+    k5_minus_edge = Graph(5, complete_graph(5).edges - {(0, 1)})
+    assert not is_generically_d_rigid(k5_minus_edge, 7)
+
+
 def test_rigidity_flexible_with_enough_edges(monkeypatch):
     # K4 and a triangle hinged at vertex 3: 9 = 2n - 3 edges, yet the
     # triangle turns about the hinge, so every trial falls short of the
