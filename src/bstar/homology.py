@@ -28,16 +28,19 @@ integral and unscaled, so a projection or span test meets no
 its last face, as `sparse_nullspace` would.
 
 `_kept_betti` is the one loop that ranks Betti numbers: of the cells a
-predicate keeps, under the boundary of the whole complex, for the
-degrees from a given one up to the top.  It keeps every cell for a
-complex (`betti`), the cells outside a subcomplex for a pair
-(`relative_betti`, the orientability of a manifold with boundary, the
-facet-pair excision of `theorems`) and the cells that do not contain a
-face for a contrastar (`contrastar_betti`), which is never built as a
-complex.  Its degree -1 counts the empty face only where the predicate
-keeps it: never for a pair, whose subcomplex holds the empty face,
-always for a contrastar, so the contrastar {∅} of the only vertex of a
-point has beta_{-1} = 1.
+predicate keeps, of dimension at most a given top (that of the complex
+by default), under the boundary of the whole complex, for the degrees
+from a given one up to that top.  A single degree i of a pair or a
+contrastar takes the top i + 1, which leaves H_i as it is, so only the
+two maps next to degree i are built, however high the complex goes.
+The loop keeps every cell for a complex (`betti`), the cells outside a
+subcomplex for a pair (`relative_betti`, the orientability of a manifold
+with boundary, the facet-pair excision of `theorems`) and the cells that
+do not contain a face for a contrastar (`contrastar_betti`), which is
+never built as a complex.  Its degree -1 counts the empty face only
+where the predicate keeps it: never for a pair, whose subcomplex holds
+the empty face, always for a contrastar, so the contrastar {∅} of the
+only vertex of a point has beta_{-1} = 1.
 
 The loop ranks from the top degree down, with clearing (Chen-Kerber 2011,
 "Persistent homology computation with a twist"; see `linalg`): each
@@ -145,20 +148,24 @@ def _by_shape(fn):
     return memo
 
 
-def _kept_betti(c: Complex, keep, field: FieldSpec, low: int = -1) -> tuple[int, ...]:
-    """dim H_i, for i = low, ..., dim c, of the cells of c that `keep`
-    accepts (every cell for None), under the boundary of c: the chain
-    complex of c, the quotient chain complex of a pair when they are the
-    cells outside a subcomplex, or the chain complex of a subcomplex when
-    they are its cells.  Degree -1 is the empty face, so it counts only
-    if `keep` accepts it.  Ranked by clearing, from the top down (see
-    the module docstring)."""
+def _kept_betti(c: Complex, keep, field: FieldSpec, low: int = -1,
+                top: int | None = None) -> tuple[int, ...]:
+    """dim H_i, for i = low, ..., top (default dim c), of the cells of c of
+    dimension at most top that `keep` accepts (every cell for None), under
+    the boundary of c: the chain complex of c, the quotient chain complex
+    of a pair when they are the cells outside a subcomplex, or the chain
+    complex of a subcomplex when they are its cells.  Below top these are
+    the H_i of all the kept cells.  Degree -1 is the empty face, so it
+    counts only if `keep` accepts it.  Ranked by clearing, from the top
+    down (see the module docstring); a map with no rows is rank 0 and not
+    handed to `linalg`."""
     def kept(d):
         return c.face_masks(d) if keep is None else [m for m in c.face_masks(d) if keep(m)]
 
+    top = c.dim if top is None else top
     betti = []
-    cells, cleared, rank_above = kept(c.dim), (), 0
-    for i in range(c.dim, low - 1, -1):
+    cells, cleared, rank_above = kept(top), (), 0
+    for i in range(top, low - 1, -1):
         rows, pivots = kept(i - 1), ()
         if rows:
             pivots = sparse_pivots(_boundary([m for m in cells if m not in cleared], rows),
@@ -203,17 +210,23 @@ def _embedded_face_set(a: Complex, c: Complex) -> set[int]:
 
 
 def relative_betti(c: Complex, a: Complex, field: FieldSpec, i: int) -> int:
-    """dim H_i of the pair (c, a), computed from the quotient chain complex."""
+    """dim H_i of the pair (c, a), computed from the quotient chain complex
+    of its cells of dimension at most i + 1, which has the same H_i, so
+    only the two maps next to degree i are ranked."""
     excluded = _embedded_face_set(a, c)
-    return _kept_betti(c, lambda m: m not in excluded, field, i)[0] if -1 <= i <= c.dim else 0
+    if not -1 <= i <= c.dim:
+        return 0
+    return _kept_betti(c, lambda m: m not in excluded, field, i, min(i + 1, c.dim))[0]
 
 
 def contrastar_betti(c: Complex, face, field: FieldSpec, i: int) -> int:
     """The reduced Betti number beta_i of the contrastar of a nonempty face,
-    ranked on the cells of c that do not contain it, so no contrastar is
-    built; 0 outside -1..dim."""
+    ranked on the cells of c of dimension at most i + 1 that do not
+    contain it, so no contrastar is built; 0 outside -1..dim."""
     s = _contrastar_mask(c, face)
-    return _kept_betti(c, lambda m: m & s != s, field, i)[0] if -1 <= i <= c.dim else 0
+    if not -1 <= i <= c.dim:
+        return 0
+    return _kept_betti(c, lambda m: m & s != s, field, i, min(i + 1, c.dim))[0]
 
 
 def inclusion_induced_is_zero(a: Complex, c: Complex, i: int, field: FieldSpec) -> bool:

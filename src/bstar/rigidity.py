@@ -139,15 +139,15 @@ def _random_prime(rng: random.Random) -> int:
 def is_generically_d_rigid(g: Graph, d: int, seed: int = 0) -> bool:
     """Randomized generic d-rigidity test.
 
-    Rigid iff some trial placement achieves rank d*n - C(d+1,2), or
-    C(n,2) for n <= d + 1, where rigid means complete.
+    Rigid iff complete, for n <= d + 1; else iff some trial placement
+    achieves rank d*n - C(d+1,2).
     """
     if d < 1:
         raise ValueError("dimension must be positive")
     n = g.n
-    if n <= 1:
-        return True
-    target = n * (n - 1) // 2 if n <= d + 1 else d * n - d * (d + 1) // 2
+    if n <= d + 1:
+        return len(g.edges) == n * (n - 1) // 2
+    target = d * n - d * (d + 1) // 2
     if len(g.edges) < target:
         return False
     rng = random.Random(seed)

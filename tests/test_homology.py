@@ -165,6 +165,30 @@ def test_a_pair_table_reduces_each_boundary_map_once(monkeypatch):
         assert handed == [(8, 12), (5, 6), (1, 1)]
 
 
+def test_a_single_degree_ranks_only_the_two_maps_next_to_it(monkeypatch):
+    handed = []
+    reduce = linalg._reduce
+
+    def counting_reduce(columns, nrows, *args, **kwargs):
+        handed.append((len(columns), nrows))
+        return reduce(columns, nrows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_reduce", counting_reduce)
+    # the map out of the 8-faces of this 9-sphere is above the cell guard,
+    # so degree 0 answers only if no map above degree 1 is built
+    c = cross_polytope(10)
+    v = c.faces(0)[0]
+    # f_0 = 20 and f_1 = C(20, 2) - 10 = 180; the vertex excluded from the
+    # pair is no row, and the map out of its 19 vertices has no row at all
+    assert relative_betti(c, from_facets([v]), QQ, 0) == 0
+    assert handed == [(180, 19)]
+    handed.clear()
+    # the contrastar of v keeps the 162 edges and 19 vertices off v; its
+    # edges leave one vertex uncleared, over the empty face
+    assert contrastar_betti(c, v, QQ, 0) == 0
+    assert handed == [(162, 19), (1, 1)]
+
+
 def test_betti_refuses_a_map_above_the_cell_guard_before_building_it(monkeypatch):
     # the boundary of a 6000-cycle has 6000 x 6000 cells, one above the
     # guard set here; its pair columns, each as wide as its highest row,

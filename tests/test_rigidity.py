@@ -110,9 +110,12 @@ def test_rigidity_path_flexible():
     assert not is_generically_d_rigid(g, 2)
 
 
-def test_rigidity_of_graphs_with_at_most_d_plus_1_vertices():
+def test_rigidity_of_graphs_with_at_most_d_plus_1_vertices(monkeypatch):
     # n <= d + 1 points in general position span an (n-1)-simplex, so the
-    # graph is rigid iff it is complete: the target rank is C(n, 2)
+    # graph is rigid iff it is complete, which is read off the edge count
+    # with no placement or rank
+    monkeypatch.setattr(rigidity, "sparse_rank", None)
+    assert is_generically_d_rigid(Graph(1, frozenset()), 1)
     assert is_generically_d_rigid(complete_graph(3), 4)
     assert not is_generically_d_rigid(graph_of(path(3)), 4)
     assert not is_generically_d_rigid(Graph(2, frozenset()), 3)
