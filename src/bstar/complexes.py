@@ -19,15 +19,26 @@ Costs follow the faces, never the vertex subsets.  Purity
 extending each face with its common neighbours: O(faces x degree).
 `components` joins the vertices along the edges with a union-find.
 
-A complex keeps the facets through each vertex (`Complex._through`, the
-map `_maximal` builds, here in facet order), made on first use.  A face
-lies in a facet only if that facet passes through the face's lowest
-vertex, so `has_mask` and `_link` scan only those facets, as does the
-star of `homology._star_top_cycles`.  A link needs no `_maximal` and no
-sort: for the facets G through a face F the sets G − F are already an
-antichain in facet order, and `_rebuild` only reindexes them.
+A complex keeps the facets through each vertex (`Complex._through`, in
+facet order), made on first use.  A face lies in a facet only if that
+facet passes through the face's lowest vertex, so `has_mask` and `_link`
+scan only those facets, as does the star of `homology._star_top_cycles`.
+A link needs no `_maximal` and no sort: for the facets G through a face
+F the sets G − F are already an antichain in facet order, and `_rebuild`
+only reindexes them.
 `deletion`, `contrastar`, `skeleton` and `components` scan the whole
-facet list, as their results do.
+facet list, as their results do.  `_maximal`, which drops the dominated
+masks of a new complex, compares a mask only with the kept masks of
+larger sizes through its lowest vertex: distinct masks of one size never
+contain each other, so the masks of one size cost no comparison, however
+many share a vertex.
+
+The label-free shape of a complex, the tuple (vertex count, facet
+masks), is a `_Shape`, built once in `Complex.__init__` (or handed whole
+to `_shaped`) with its hash, since the masks are ints as wide as the
+vertex count.  It is the complex's hash and equality, less the labels,
+and the key of every memo: `homology._by_shape` and the link shapes of
+`properties._link_walk`.
 
 Serialization writes labels as strings, so `to_json` and `to_text`
 refuse a complex in which two vertices' labels print alike (1 and "1"),
@@ -167,21 +178,23 @@ def _tuple_of(mask: int) -> tuple[int, ...]:
 
 def _maximal(masks: Iterable[int]) -> list[int]:
     """The inclusion-maximal masks, each once; 0 is kept only when it is
-    the only mask.  Larger masks come first, and each mask is compared
-    only with the kept masks through its lowest vertex."""
+    the only mask.  Larger masks come first.  Distinct masks of one size
+    never contain each other, so each mask is compared only with the kept
+    masks of larger sizes through its lowest vertex, indexed by vertex
+    each time the size drops."""
     kept: list[int] = []
     through: dict[int, list[int]] = {}
+    indexed = size = 0
     for m in sorted(set(masks), key=int.bit_count, reverse=True):
         if not m:
             return kept or [0]
-        if any(m & k == m for k in through.get(m & -m, ())):
-            continue
-        kept.append(m)
-        rest = m
-        while rest:
-            bit = rest & -rest
-            through.setdefault(bit, []).append(m)
-            rest ^= bit
+        if m.bit_count() != size:
+            for k in kept[indexed:]:
+                for bit in _bits(k):
+                    through.setdefault(bit, []).append(k)
+            indexed, size = len(kept), m.bit_count()
+        if not any(m & k == m for k in through.get(m & -m, ())):
+            kept.append(m)
     return kept
 
 
@@ -194,6 +207,17 @@ def _sort_labels(labels):
         return sorted(labels)
     except TypeError:
         return sorted(labels, key=_label_key)
+
+
+class _Shape(tuple):
+    """The label-free shape (vertex count, facet masks) of a complex: equal
+    to that plain tuple and hashing like it, but hashed once, when built."""
+
+    def __init__(self, _):
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
 
 
 class Complex:
@@ -220,7 +244,7 @@ class Complex:
         self.n_vertices = n_vertices
         self.labels = labels
         self._facet_masks = tuple(sorted(masks, key=lambda m: (m.bit_count(), _tuple_of(m))))
-        self._hash = hash((n_vertices, self._facet_masks))
+        self._shape = _Shape((n_vertices, self._facet_masks))
 
     # -- basic views ---------------------------------------------------
 
@@ -259,7 +283,7 @@ class Complex:
     @cached_property
     def _through(self) -> dict[int, list[int]]:
         """The facet index: the facets through each vertex, keyed by its
-        one-vertex mask, in facet order (the map `_maximal` builds)."""
+        one-vertex mask, in facet order."""
         through: dict[int, list[int]] = {}
         for g in self._facet_masks:
             rest = g
@@ -294,13 +318,11 @@ class Complex:
     # -- equality / hashing --------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Complex)
-                and self.n_vertices == other.n_vertices
-                and self._facet_masks == other._facet_masks
+        return (isinstance(other, Complex) and self._shape == other._shape
                 and self.labels == other.labels)
 
     def __hash__(self):
-        return self._hash
+        return self._shape._hash
 
     def __repr__(self):
         return (f"Complex(n={self.n_vertices}, dim={self.dim}, "
@@ -328,15 +350,12 @@ def from_facets(facet_list: Iterable[Iterable[Hashable]]) -> Complex:
     return Complex(masks, len(labels), labels)
 
 
-def _shaped(masks: tuple[int, ...], n_vertices: int,
-            labels: tuple[Hashable, ...] | None = None) -> Complex:
-    """The complex of a shape: facet masks that are already maximal, cover
-    the n vertices and are in facet order, so nothing is checked."""
+def _shaped(shape: _Shape, labels: tuple[Hashable, ...] | None = None) -> Complex:
+    """The complex of a shape whose facet masks are already maximal, cover
+    its vertices and are in facet order, so nothing is checked."""
     c = Complex.__new__(Complex)
-    c.n_vertices = n_vertices
-    c.labels = tuple(range(n_vertices)) if labels is None else labels
-    c._facet_masks = masks
-    c._hash = hash((n_vertices, masks))
+    c.n_vertices, c._facet_masks = c._shape = shape
+    c.labels = tuple(range(c.n_vertices)) if labels is None else labels
     return c
 
 
@@ -362,7 +381,7 @@ def _rebuild(masks: Iterable[int], parent: Complex, antichain: bool = False) -> 
         new_masks.append(new)
     labels = tuple(parent.labels[bit.bit_length() - 1] for bit in remap)
     if antichain:
-        return _shaped(tuple(new_masks), len(remap), labels)
+        return _shaped(_Shape((len(remap), tuple(new_masks))), labels)
     return Complex(new_masks, len(remap), labels)
 
 

@@ -17,8 +17,10 @@ complex, those outside a subcomplex (a pair), those inside a subcomplex
 a face (its contrastar), and the top facets through a face with their
 ridges through it (a star, read from the facets through the face's
 lowest vertex in the facet index of `complexes`, so no other facet or
-face is visited).  Every rank and span test goes to the sparse entry
-points of `linalg`.  A subcomplex enters as its face masks in the
+face is visited).  Every rank goes to the sparse entry points of
+`linalg`, and the span test of `_nonbounding_cycle` to one run of
+`linalg._reduce` over its cycles, which stops at the first that does not
+bound.  A subcomplex enters as its face masks in the
 ambient complex, matched by label in `_embedded_face_set`, which maps
 only its facets.
 
@@ -64,7 +66,7 @@ from __future__ import annotations
 import functools
 
 from .complexes import Complex, _bits, _contrastar_mask, _face_set, _mask_of, _tuple_of
-from .linalg import (FieldSpec, _check_cells, _divided, _kernel, sparse_in_span, sparse_pivots,
+from .linalg import (FieldSpec, _check_cells, _divided, _kernel, _reduce, sparse_pivots,
                      sparse_rank)
 
 __all__ = [
@@ -135,11 +137,12 @@ _shapes: dict[tuple, dict] = {}
 
 
 def _by_shape(fn):
-    """Memoise fn(c, ...) in `_shapes`, shared by every complex of the
-    shape of c, so the result must carry no label."""
+    """Memoise fn(c, ...) in `_shapes` under `c._shape`, shared by every
+    complex of the shape of c, so the result must carry no label.  The
+    shape carries its hash, so a lookup hashes no facet mask."""
     @functools.wraps(fn)
     def memo(c, *args, **kwargs):
-        entry = _shapes.setdefault((c.n_vertices, c._facet_masks), {})
+        entry = _shapes.setdefault(c._shape, {})
         key = (fn, *args, *kwargs.items())
         result = entry.get(key, entry)  # the entry itself stands for a miss
         if result is entry:
@@ -254,7 +257,12 @@ def _nonbounding_cycle(c: Complex, inside: set[int], around: set[int] | None,
     (coefficient, face mask) pairs in the face order of c, or None.  Both
     are face-mask sets of subcomplexes of c, `inside` within `around`.
     The cycle is a kernel vector of `linalg._kernel`, integral over the
-    rationals and not scaled, so it is nonzero at its last face."""
+    rationals and not scaled, so it is nonzero at its last face.
+
+    The boundaries and then the cycles are reduced in one run, which
+    stops at the first cycle whose column keeps a pivot: that cycle is the
+    witness, as every cycle before it lies in the span of the boundaries.
+    The cell guard counts the boundaries and one cycle."""
     rows, cells = ([m for m in c.face_masks(d) if m in inside] for d in (i - 1, i))
     cycles = _kernel(_boundary(cells, rows), len(rows), field)
     if not cycles:
@@ -263,10 +271,12 @@ def _nonbounding_cycle(c: Complex, inside: set[int], around: set[int] | None,
                      else [m for m in c.face_masks(d) if m in around] for d in (i, i + 1))
     target = _boundary(chains, faces)
     index = {m: j for j, m in enumerate(faces)}
-    for _, z in cycles:
-        vec = {index[cells[k]]: coeff for k, coeff in z.items()}
-        if not sparse_in_span(target, len(faces), vec, field):
-            return [(vec[j], faces[j]) for j in sorted(vec)]
+    vecs = [{index[cells[k]]: coeff for k, coeff in z.items()} for _, z in cycles]
+    free = _reduce([*target, *vecs], len(faces), field.p, stop=len(target))[1]
+    bounding = sum(j >= len(target) for j, _ in free)  # the cycles before the witness
+    if bounding < len(vecs):
+        vec = vecs[bounding]
+        return [(vec[k], faces[k]) for k in sorted(vec)]
     return None
 
 

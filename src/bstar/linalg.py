@@ -65,8 +65,8 @@ its columns that are not pivot rows of d', over every field.
 
 ``_reduce`` refuses a matrix of more than ``set_max_cells`` rows x
 columns, counting the matrix it is handed (for a cleared boundary map,
-the columns that are left), on both kernels, and ``_kernel`` checks each
-kernel vector against the matrix before returning it.
+the columns that are left; with ``stop``, the first ``stop`` + 1), on
+both kernels, and ``_kernel`` checks each kernel vector against the matrix before returning it.
 """
 
 from __future__ import annotations
@@ -193,7 +193,8 @@ def _residue(x, p: int) -> int:
     return int(x) % p
 
 
-def _reduce(columns, nrows: int, p: int | None, record: bool = False):
+def _reduce(columns, nrows: int, p: int | None, record: bool = False,
+            stop: int | None = None):
     """The elimination loop (see the module docstring), over GF(p) or,
     for ``p is None``, over the rationals, on the kernel for the field and
     the column format.
@@ -202,24 +203,27 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False):
     columns as (index, record) pairs.  With `record` the record of a free
     column maps each column k to its coefficient in the combination that
     reduced it to zero, a kernel vector before scaling; without, it is
-    None.
+    None.  With `stop` the loop returns at the first column from index
+    `stop` on that keeps a pivot: only columns up to it hold a pivot, so
+    the guard counts `stop` + 1 columns.
     """
-    _check_cells(nrows, len(columns))
+    _check_cells(nrows, len(columns) if stop is None else min(len(columns), stop + 1))
     if p == 2:  # a dict column as the pair of its odd rows
         columns = [col if type(col) is tuple
                    else (sum(1 << i for i, x in col.items() if _residue(x, 2)), 0)
                    for col in columns]
     elif p not in (None, 3) or not all(type(col) is tuple for col in columns):
-        return _reduce_dict(columns, p, record)
-    reduced = _reduce_signed(columns, p, record)
-    return _reduce_dict(columns, p, record) if reduced is None else reduced
+        return _reduce_dict(columns, p, record, stop)
+    reduced = _reduce_signed(columns, p, record, stop)
+    return _reduce_dict(columns, p, record, stop) if reduced is None else reduced
 
 
-def _reduce_signed(columns, p: int | None, record: bool):
+def _reduce_signed(columns, p: int | None, record: bool, stop: int | None = None):
     """`_reduce` over GF(2), GF(3) or the rationals on (plus, minus)
     columns; the record is a pair too, bit k for column k.  Returns None,
     for the dict kernel to start over, over the rationals as soon as an
     entry of a column or record would leave {-1, 0, 1}."""
+    stop = len(columns) if stop is None else stop
     gf2, gf3 = p == 2, p == 3
     pivots: dict[int, tuple[int, int, int, int]] = {}
     free = []
@@ -232,6 +236,8 @@ def _reduce_signed(columns, p: int | None, record: bool):
             other = pivots.get(low)
             if other is None:
                 pivots[low] = plus, minus, rplus, rminus
+                if j >= stop:
+                    return list(pivots), free
                 break
             if gf2:  # minus stays 0: add by XOR
                 plus ^= other[0]
@@ -266,8 +272,9 @@ def _add_gf3(plus: int, minus: int, oplus: int, ominus: int) -> tuple[int, int]:
             (minus & ~osupport) | (ominus & ~support) | (plus & oplus))
 
 
-def _reduce_dict(columns, p: int | None, record: bool):
+def _reduce_dict(columns, p: int | None, record: bool, stop: int | None = None):
     """`_reduce` on dict columns, a pair taken as its dict."""
+    stop = len(columns) if stop is None else stop
     pivots: dict[int, dict[int, int]] = {}
     free = []
     for j, entries in enumerate(columns):
@@ -295,6 +302,8 @@ def _reduce_dict(columns, p: int | None, record: bool):
             other = pivots.get(low)
             if other is None:
                 pivots[low] = col
+                if j >= stop:
+                    return list(pivots), free
                 break
             col = _eliminate(col, other, low, p)
     return list(pivots), free

@@ -33,6 +33,9 @@ bit-vectors; both rank with `rank_modular` on residues taken here.
 `projection_cokernel_by_rank` ranks the projection of every pair of
 stars, where the package reads a star of one top cycle off the support
 of the projected cycles.
+`nonbounding_cycle_by_span_tests` asks whether each cycle lies in the
+span of the boundaries with its own `sparse_in_span`, where the package
+reduces the boundaries and all the cycles together once.
 `connectivity_by_all_pairs` runs the package's flow on every
 nonadjacent pair, where the package stops after the first κ + 1 sources.
 `betti_by_full_ranks` and `relative_betti_by_full_ranks` rank every
@@ -49,9 +52,9 @@ from fractions import Fraction
 import sympy
 
 from bstar.complexes import _rebuild, components, contrastar, from_facets, link
-from bstar.homology import (_embedded_face_set, _star_top_cycles, betti, betti_at,
+from bstar.homology import (_boundary, _embedded_face_set, _star_top_cycles, betti, betti_at,
                             relative_betti)
-from bstar.linalg import sparse_rank
+from bstar.linalg import _kernel, sparse_in_span, sparse_rank
 from bstar.properties import ManifoldReport, _link_violation, is_buchsbaum
 from bstar.rigidity import _max_internally_disjoint
 
@@ -471,3 +474,21 @@ def kernel_by_enumeration(columns, nrows, p):
                      for i in range(nrows))]
     return [{k: x for k, x in enumerate(v) if x}
             for j in free for v in kernel if [v[k] for k in free] == [int(k == j) for k in free]]
+
+
+def nonbounding_cycle_by_span_tests(c, inside, around, i, field):
+    """`homology._nonbounding_cycle` with one span test per cycle: the
+    first kernel vector of the boundary on the i-faces `inside` that
+    `sparse_in_span` finds outside the span of the boundaries of the
+    (i+1)-faces `around` (all of c for None), as (coefficient, face mask)
+    pairs, or None."""
+    rows, cells = ([m for m in c.face_masks(d) if m in inside] for d in (i - 1, i))
+    faces, chains = (c.face_masks(d) if around is None
+                     else [m for m in c.face_masks(d) if m in around] for d in (i, i + 1))
+    target = _boundary(chains, faces)
+    index = {m: j for j, m in enumerate(faces)}
+    for _, z in _kernel(_boundary(cells, rows), len(rows), field):
+        vec = {index[cells[k]]: x for k, x in z.items()}
+        if not sparse_in_span(target, len(faces), vec, field):
+            return [(vec[j], faces[j]) for j in sorted(vec)]
+    return None

@@ -255,6 +255,29 @@ def test_maximal_is_the_antichain_of_maximal_masks(masks):
     assert len(got) == len(want) and set(got) == want
 
 
+class CountingMask(int):
+    """A mask that counts the times it is ANDed with another such mask."""
+
+    ands = 0
+
+    def __and__(self, other):
+        if isinstance(other, CountingMask):
+            CountingMask.ands += 1
+        return int(self) & other
+
+
+def test_maximal_compares_no_two_masks_of_one_size():
+    # a cone over an n-cycle, apex vertex 0, and the cycle's n edges: every
+    # triangle passes through vertex 0, but only the edges are compared,
+    # each with at most the two triangles through its lowest vertex
+    n = 400
+    triangles = [CountingMask(1 | 1 << i | 1 << i % n + 1) for i in range(1, n + 1)]
+    edges = [CountingMask(1 << i | 1 << i % n + 1) for i in range(1, n + 1)]
+    CountingMask.ands = 0
+    assert sorted(_maximal(triangles + edges)) == sorted(triangles)
+    assert n <= CountingMask.ands <= 2 * n
+
+
 @given(random_complexes())
 @settings(max_examples=50, deadline=None)
 def test_contrastar_of_vertex_is_deletion(c):

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -15,12 +16,13 @@ from bstar.homology import (betti, betti_at, contrastar_betti, first_nonbounding
                             reduced_euler_characteristic, relative_betti,
                             relative_surjectivity, top_projection_surjective,
                             _boundary, _embedded_face_set, _kept_betti,
-                            _projection_cokernel)
+                            _nonbounding_cycle, _projection_cokernel)
 from bstar.linalg import GF2, QQ, FieldSpec, LinalgGuardError
+from bstar.properties import is_buchsbaum_star, is_cohen_macaulay
 from bstar import clear_caches, complexes, homology, linalg
-from oracles import (betti_by_full_ranks, betti_numbers, pair_homology,
-                     projection_cokernel_by_rank, relative_betti_by_full_ranks,
-                     signed_column)
+from oracles import (betti_by_full_ranks, betti_numbers, nonbounding_cycle_by_span_tests,
+                     pair_homology, projection_cokernel_by_rank,
+                     relative_betti_by_full_ranks, signed_column)
 from strategies import complexes_up_to_7_vertices
 
 FIELDS = (QQ, GF2, FieldSpec(3))
@@ -348,6 +350,29 @@ def test_rank_cache_keyed_by_shape():
     assert betti(numbers, field=QQ) == first[0]
 
 
+class CountingMasks(tuple):
+    """Facet masks that count the times they are hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountingMasks.hashes += 1
+        return tuple.__hash__(self)
+
+
+def test_memo_lookups_hash_no_facet_mask():
+    # the shape is hashed once, when built; every lookup after that reads
+    # the stored hash
+    t = torus7()
+    c = complexes._shaped(complexes._Shape((t.n_vertices, CountingMasks(t._facet_masks))))
+    assert CountingMasks.hashes == 1 and c == t and hash(c) == hash(t)
+    clear_caches()
+    for _ in range(2):
+        assert [betti(c, f).betti for f in FIELDS] == [(0, 0, 2, 1)] * 3
+        assert not is_cohen_macaulay(c, QQ) and is_buchsbaum_star(c, QQ)
+    assert CountingMasks.hashes == 1
+
+
 def test_rank_cache_keeps_no_complex_alive():
     c = from_facets([(0, 1, 2), (2, 3), (3, 4, 5, 6)])
     assert betti_at(c, QQ, 0) == 0
@@ -462,3 +487,45 @@ def test_pair_maps_match_exact_sequence_oracle(pair, field):
     for i in range(-1, c.dim + 2):
         assert inclusion_induced_is_zero(a, c, i, field) == (image.get(i, 0) == 0), i
         assert relative_betti(c, a, field, i) == (relative[i + 1] if i <= c.dim else 0), i
+
+
+def test_nonbounding_cycle_reduces_every_cycle_in_one_run(monkeypatch):
+    handed = []
+    reduce = linalg._reduce
+
+    def counting_reduce(columns, *args, **kwargs):
+        handed.append((len(columns), kwargs.get("stop")))
+        return reduce(columns, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_reduce", counting_reduce)
+    monkeypatch.setattr(homology, "_reduce", counting_reduce)
+    c = cross_polytope(3)
+    a = skeleton(c, 1)
+    for field in FIELDS:
+        handed.clear()
+        assert inclusion_induced_is_zero(a, c, 1, field)
+        # the kernel of the 12 edges, then the boundaries of the 8
+        # triangles with the 7 independent cycles of the edges, to stop at
+        # the first cycle that keeps a pivot
+        assert handed == [(12, None), (8 + 7, 8)]
+
+
+def test_a_cycle_that_does_not_bound_ends_the_span_test():
+    # K_100 has 4851 independent cycles and no triangle: the first cycle is
+    # the witness, and the guard counts 4950 x 1 cells, not 4950 x 4851
+    k = from_facets(itertools.combinations(range(100), 2))
+    for field in FIELDS:
+        assert not inclusion_induced_is_zero(k, k, 1, field)
+        witness = first_nonbounding_cycle(k, k, 1, field)
+        assert witness is not None and witness[-1][0] == 1
+
+
+@given(complexes_with_subcomplexes(), st.sampled_from(FIELDS), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_nonbounding_cycle_matches_one_span_test_per_cycle(pair, field, within):
+    c, a = pair
+    inside = _embedded_face_set(a, c)
+    around = inside if within else None
+    for i in range(0, c.dim + 1):
+        assert (_nonbounding_cycle(c, inside, around, i, field)
+                == nonbounding_cycle_by_span_tests(c, inside, around, i, field)), i

@@ -305,6 +305,26 @@ def test_signed_kernel_matches_dict_kernel(matrix, field):
     assert sparse_nullspace(columns, nrows, field) == sparse_nullspace(dicts, nrows, field)
 
 
+@given(signed_matrices(), st.sampled_from([QQ, GF2, FieldSpec(3)]), st.integers(0, 7))
+@settings(max_examples=200, deadline=None)
+def test_stop_cuts_the_reduction_at_the_first_pivot_from_there(matrix, field, stop):
+    # with `stop`, both kernels return the full reduction cut after the
+    # first column from index `stop` on that keeps a pivot
+    columns, dicts, nrows = matrix
+    p = field.p
+    if p == 2 and any(type(x) is Fraction and x.denominator % 2 == 0
+                      for col in dicts for x in col.values()):
+        return  # no residue mod 2, see test_signed_kernel_matches_dict_kernel
+    pivots, free = linalg._reduce(columns, nrows, p)
+    free_columns = {j for j, _ in free}
+    kept = [j for j in range(len(columns)) if j not in free_columns]
+    end = next((j + 1 for j in kept if j >= stop), len(columns))
+    want = (pivots[:sum(j < end for j in kept)], sorted(j for j in free_columns if j < end))
+    for got in (linalg._reduce(columns, nrows, p, stop=stop),
+                linalg._reduce_dict(dicts, p, False, stop)):
+        assert (got[0], [j for j, _ in got[1]]) == want
+
+
 def test_a_dict_column_goes_to_the_dict_kernel_from_the_start(monkeypatch):
     # `sparse_in_span` appends its vector last, so a dict vector after
     # pair columns must not make the signed kernel eliminate them first

@@ -552,3 +552,29 @@ def test_subset_guard(octahedron):
             is_m_cohen_macaulay(octahedron, FieldSpec(13), 3)
     finally:
         properties.set_max_subsets(properties.DEFAULT_MAX_SUBSETS)
+
+
+def theta(n: int, first: int = 0) -> list[tuple[int, int]]:
+    """The edges of an n-cycle with one chord from its first vertex to the
+    opposite one: the vertices are 0, then first + 1, ..., first + n − 1."""
+    vs = [0, *range(first + 1, first + n)]
+    return [(vs[i], vs[(i + 1) % n]) for i in range(n)] + [(0, vs[n // 2])]
+
+
+def test_large_graphs_get_the_paper_verdicts():
+    # a graph is Buchsbaum* exactly when every component is 2-connected:
+    # theta(4000) is, two theta(2000) glued at vertex 0 are not
+    glued = {"cohen_macaulay": True, "buchsbaum": True, "buchsbaum*": False,
+             "doubly_cohen_macaulay": False, "doubly_buchsbaum": True,
+             "gorenstein*": False, "homology_manifold": False, "orientable_manifold": False}
+    for facets, verdicts in ((theta(4000), {**glued, "buchsbaum*": True,
+                                            "doubly_cohen_macaulay": True}),
+                             (theta(2000) + theta(2000, 1999), glued)):
+        c = from_facets(facets)
+        clear_caches()
+        for f in (QQ, GF2):
+            report = property_report(c, f)
+            assert report.verdicts == verdicts
+            if not verdicts["buchsbaum*"]:
+                assert report.witnesses["buchsbaum*"] == (
+                    "vertex 0: contrastar Betti 1 != 0 in degree 0")
