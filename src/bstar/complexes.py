@@ -20,9 +20,14 @@ extending each face with its common neighbours: O(faces x degree).
 `components` joins the vertices along the edges with a union-find.
 
 A complex keeps the facets through each vertex (`Complex._through`, in
-facet order), made on first use.  A face lies in a facet only if that
-facet passes through the face's lowest vertex, so `has_mask` and `_link`
-scan only those facets, as does the star of `homology._star_top_cycles`.
+facet order), made on first use, and from the same pass the position of
+each facet in the facet list (`Complex._facet_index`).  A face lies in a
+facet only if that facet passes through the face's lowest vertex, so
+`has_mask` and `_link` scan only those facets, as does the star of
+`homology._star_top_cycles`, which reads the positions of the facets it
+keeps.  A complex also keeps the boundary columns that
+`homology._columns` builds for its pairs and contrastars
+(`Complex._columns`).
 A link needs no `_maximal` and no sort: for the facets G through a face
 F the sets G − F are already an antichain in facet order, and `_rebuild`
 only reindexes them.
@@ -281,17 +286,31 @@ class Complex:
                             for d in range(0, self.dim + 1)])
 
     @cached_property
-    def _through(self) -> dict[int, list[int]]:
-        """The facet index: the facets through each vertex, keyed by its
-        one-vertex mask, in facet order."""
+    def _facet_index(self) -> tuple[dict[int, list[int]], dict[int, int]]:
+        """The facets through each vertex, keyed by its one-vertex mask, in
+        facet order, and the position of each facet in the facet list,
+        from one pass over the facets."""
         through: dict[int, list[int]] = {}
-        for g in self._facet_masks:
+        position: dict[int, int] = {}
+        for k, g in enumerate(self._facet_masks):
+            position[g] = k
             rest = g
             while rest:
                 bit = rest & -rest
                 through.setdefault(bit, []).append(g)
                 rest ^= bit
-        return through
+        return through, position
+
+    @cached_property
+    def _through(self) -> dict[int, list[int]]:
+        """The facet index: the facets through each vertex (`_facet_index`)."""
+        return self._facet_index[0]
+
+    @cached_property
+    def _columns(self) -> dict[int, list[tuple[int, int]]]:
+        """The boundary columns of each degree that `homology._columns` has
+        built, with rows indexed by the faces one dimension down."""
+        return {}
 
     def has_mask(self, mask: int) -> bool:
         """Whether `mask` is a face: inside a facet through its lowest vertex."""

@@ -205,14 +205,17 @@ def _reduce(columns, nrows: int, p: int | None, record: bool = False,
     reduced it to zero, a kernel vector before scaling; without, it is
     None.  With `stop` the loop returns at the first column from index
     `stop` on that keeps a pivot: only columns up to it hold a pivot, so
-    the guard counts `stop` + 1 columns.
+    the guard counts `stop` + 1 columns.  The columns are read in order,
+    each when the loop gets to it, so they may be any sized iterable that
+    can be read more than once.
     """
     _check_cells(nrows, len(columns) if stop is None else min(len(columns), stop + 1))
-    if p == 2:  # a dict column as the pair of its odd rows
-        columns = [col if type(col) is tuple
-                   else (sum(1 << i for i, x in col.items() if _residue(x, 2)), 0)
-                   for col in columns]
-    elif p not in (None, 3) or not all(type(col) is tuple for col in columns):
+    if p == 2:  # a dict column as the pair of its odd rows, made when the loop reads it
+        return _reduce_signed((col if type(col) is tuple
+                               else (sum(1 << i for i, x in col.items() if _residue(x, 2)), 0)
+                               for col in columns), 2, record,
+                              len(columns) if stop is None else stop)
+    if p not in (None, 3) or not all(type(col) is tuple for col in columns):
         return _reduce_dict(columns, p, record, stop)
     reduced = _reduce_signed(columns, p, record, stop)
     return _reduce_dict(columns, p, record, stop) if reduced is None else reduced

@@ -31,8 +31,9 @@ pairing lemma), and `kernel_by_enumeration` the kernel basis among all
 vectors of a small GF(p)^n, where the package reduces GF(2) columns as
 bit-vectors; both rank with `rank_modular` on residues taken here.
 `projection_cokernel_by_rank` ranks the projection of every pair of
-stars, where the package reads a star of one top cycle off the support
-of the projected cycles.
+stars, each built from a scan of the facet list with its own boundary
+map and kernel, where the package reads a star of one top cycle off the
+support of the projected cycles, over the facet index.
 `nonbounding_cycle_by_span_tests` asks whether each cycle lies in the
 span of the boundaries with its own `sparse_in_span`, where the package
 reduces the boundaries and all the cycles together once.
@@ -52,9 +53,8 @@ from fractions import Fraction
 import sympy
 
 from bstar.complexes import _rebuild, components, contrastar, from_facets, link
-from bstar.homology import (_boundary, _embedded_face_set, _star_top_cycles, betti, betti_at,
-                            relative_betti)
-from bstar.linalg import _kernel, sparse_in_span, sparse_rank
+from bstar.homology import _boundary, _embedded_face_set, betti, betti_at, relative_betti
+from bstar.linalg import _kernel, sparse_in_span, sparse_nullspace, sparse_rank
 from bstar.properties import ManifoldReport, _link_violation, is_buchsbaum
 from bstar.rigidity import _max_internally_disjoint
 
@@ -379,10 +379,25 @@ def relative_betti_by_full_ranks(c, excluded, field, i):
 def projection_cokernel_by_rank(c, field, sm, tm):
     """`homology._projection_cokernel` for face masks sm ⊆ tm, always by
     rank: the top cycles of the star of tm less the rank of the top
-    cycles of the star of sm projected onto its top faces."""
-    _, ker_s = _star_top_cycles(c, field, sm)
-    cells_t, ker_t = _star_top_cycles(c, field, tm)
-    projected = [{j: z[m] for j, m in enumerate(cells_t) if m in z} for z in ker_s]
+    cycles of the star of sm projected onto its top faces.  A star is
+    every top facet of c through the face, found by a scan of the facet
+    list, with its boundary map onto the ridges through the face, built
+    here over vertex tuples, and its cycles are a `sparse_nullspace` basis
+    of that map."""
+    def star_cycles(mask):
+        face = {v for v in range(c.n_vertices) if mask >> v & 1}
+        cells = [f for f in c.facets if len(f) == c.dim + 1 and face <= set(f)]
+        rows, columns = {}, []
+        for f in cells:
+            columns.append({rows.setdefault(f[:k] + f[k + 1:], len(rows)): (-1) ** k
+                            for k, v in enumerate(f) if v not in face})
+        return cells, sparse_nullspace(columns, len(rows), field)
+
+    cells_s, ker_s = star_cycles(sm)
+    cells_t, ker_t = star_cycles(tm)
+    where = {f: j for j, f in enumerate(cells_t)}
+    projected = [{where[cells_s[k]]: x for k, x in z.items() if cells_s[k] in where}
+                 for z in ker_s]
     return len(ker_t) - sparse_rank(projected, len(cells_t), field)
 
 

@@ -280,11 +280,15 @@ def test_verify_exported_corpus(capsys, tmp_path):
 
 
 def test_verify_builtin(capsys):
+    """`verify --builtin` passes every check, with the report recorded byte
+    for byte in tests/data/verify_builtin.json."""
     code, out, _ = run_cli(capsys, "verify", "--builtin")
     data = json.loads(out)
     assert code == 0 and data["all_passed"] is True
     assert "counterexample_fidelity" in data["results"]
     assert len(data["results"]) >= 12
+    golden = Path(__file__).parent / "data" / "verify_builtin.json"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def run_child(*argv, **env):

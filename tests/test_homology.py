@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bstar.complexes import (Complex, FaceCountError, _submasks, contrastar, deletion,
-                             from_facets, join, skeleton)
+from bstar.complexes import (Complex, FaceCountError, _bits, _submasks, contrastar,
+                             deletion, from_facets, join, skeleton)
 from bstar.constructions import (cross_polytope, cycle, example_2_10_iii, path, rp2_6,
                                  simplex, simplex_boundary, torus7)
 from bstar.homology import (betti, betti_at, contrastar_betti, first_nonbounding_cycle,
@@ -120,6 +120,37 @@ def test_contrastar_betti_matches_rebuilt_contrastar(c):
             for f in FIELDS:
                 for i in range(-1, c.dim + 1):
                     assert contrastar_betti(c, t, f, i) == betti(cost, f).at(i)
+
+
+@given(complexes_up_to_7_vertices(), st.integers(min_value=0))
+@example(from_facets([(0, 1, 2), (2, 3)]), 0)  # not pure
+@example(from_facets([(0, 1), (2,)]), 1)  # not pure, with a point
+@example(from_facets([[0]]), 0)  # the contrastar of its one vertex is {∅}
+@example(torus7(), 3)
+@example(rp2_6(), 5)
+@settings(max_examples=100, deadline=None)
+def test_pairs_and_contrastars_read_the_columns_their_complex_built_once(c, k):
+    # one complex answers every query below, over Q, GF(2) and GF(3), from
+    # the boundary columns it built on the first: each contrastar Betti
+    # number against the contrastar rebuilt, and each pair, with the
+    # contrastar or with a skeleton, against the boundaries of its kept
+    # cells built from scratch
+    faces = [f for d in range(c.dim + 1) for f in c.faces(d)]
+    if not faces:  # c is {∅}
+        return
+    faces = faces[k % len(faces):] + faces[:k % len(faces)]  # start at any face
+    skel = skeleton(c, max(c.dim - 1, 0))
+    for f in FIELDS:
+        for t in faces:
+            cost = contrastar(c, t)
+            for a in (cost, skel):
+                excluded = _embedded_face_set(a, c)
+                for i in range(-1, c.dim + 1):
+                    assert (relative_betti(c, a, f, i)
+                            == relative_betti_by_full_ranks(c, excluded, f, i))
+            for i in range(-1, c.dim + 1):
+                assert contrastar_betti(c, t, f, i) == betti(cost, f).at(i)
+    assert all(len(columns) == len(c.face_masks(d)) for d, columns in c._columns.items())
 
 
 def test_contrastar_betti_refuses_what_contrastar_refuses(torus):
@@ -407,7 +438,8 @@ def test_star_top_cycles_enumerate_no_face(monkeypatch):
     clear_caches()
     monkeypatch.setattr(Complex, "face_masks", counting_face_masks)
     for v in range(n):
-        cells, kernel = homology._star_top_cycles(theta, QQ, 1 << v)
+        star, kernel, *_ = homology._star_top_cycles(theta, QQ, 1 << v)
+        cells = list(_bits(star))  # the star as bits of the facet index
         assert len(cells) == (3 if v in (0, n // 2) else 2)
         assert len(kernel) == len(cells) - 1  # H_1(theta, cost v) = H~_0(lk v)
     assert len(homology._star_top_cycles(theta, GF2, 0)[1]) == 2

@@ -1,4 +1,5 @@
 import functools
+import gc
 import os
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from bstar import clear_caches, homology, theorems
 from bstar.cli import _read_complex_file, main
 from bstar.constructions import corpus, cross_polytope
+from bstar.properties import is_buchsbaum_star
 
 BUILTIN_ONLY_CHECKS = {"check_counterexample_fidelity", "check_orientability_dichotomy",
                        "check_ear_verifier", "check_m_hierarchy",
@@ -131,6 +133,48 @@ def test_pool_gives_the_results_of_one_worker(monkeypatch, capsys, tmp_path, exp
         runs.append(verdicts(theorems.run_battery(entries)))
     assert runs[0] == runs[1]
     assert len(runs[0]) == (14 if exported else 19)
+
+
+def report(results):
+    """What `verify` reports of the results: each check's verdict and notes,
+    by its name."""
+    return {res.name: (res.passed, res.details) for res in results}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_report_does_not_depend_on_the_check_order(monkeypatch, n):
+    # ALL_CHECKS lists the longest checks first, for the pool; the report
+    # keys the results by name, so the reversed list gives the same report
+    workers(monkeypatch, n)
+    clear_caches()
+    forward = report(theorems.run_battery())
+    monkeypatch.setattr(theorems, "ALL_CHECKS", theorems.ALL_CHECKS[::-1])
+    clear_caches()
+    assert report(theorems.run_battery()) == forward
+    assert gc.get_freeze_count() == 0  # the pool unfroze what it froze
+
+
+def test_surjectivity_oracle_builds_each_boundary_column_once_per_degree(monkeypatch):
+    c = cross_polytope(4)
+    clear_caches()
+    for f in theorems.DEFAULT_FIELDS:  # what the oracle memoises on its way, before the count
+        homology.betti(c, f)
+        is_buchsbaum_star(c, f)
+    built = {}
+    boundary = homology._boundary
+
+    def counting_boundary(cells, rows):
+        if type(rows) is not dict:  # a map of c, not of a star (`_star_top_cycles`)
+            for m in cells:
+                built[m.bit_count() - 1] = built.get(m.bit_count() - 1, 0) + 1
+        return boundary(cells, rows)
+
+    monkeypatch.setattr(homology, "_boundary", counting_boundary)
+    entries = [("cross_polytope4", c)]
+    assert theorems.check_surjectivity_oracle(entries, theorems.DEFAULT_FIELDS).passed
+    # the contrastars of all 80 faces over both fields rank the maps out of
+    # the 3-faces and the 2-faces, and read each column of them built once
+    assert built == {3: 16, 2: 32}
 
 
 def test_pool_raises_the_first_failing_check(monkeypatch):
