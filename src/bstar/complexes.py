@@ -25,9 +25,9 @@ each facet in the facet list (`Complex._facet_index`).  A face lies in a
 facet only if that facet passes through the face's lowest vertex, so
 `has_mask` and `_link` scan only those facets, as does the star of
 `homology._star_top_cycles`, which reads the positions of the facets it
-keeps.  A complex also keeps the boundary columns that
-`homology._columns` builds for its pairs and contrastars
-(`Complex._columns`).
+keeps.  A complex also keeps the number of facets through each ridge
+(`Complex._ridge_counts`), for the link walk and the ridge test of
+`properties`.
 A link needs no `_maximal` and no sort: for the facets G through a face
 F the sets G − F are already an antichain in facet order, and `_rebuild`
 only reindexes them.
@@ -307,10 +307,16 @@ class Complex:
         return self._facet_index[0]
 
     @cached_property
-    def _columns(self) -> dict[int, list[tuple[int, int]]]:
-        """The boundary columns of each degree that `homology._columns` has
-        built, with rows indexed by the faces one dimension down."""
-        return {}
+    def _ridge_counts(self) -> list[int]:
+        """The number of top facets through each face of dimension dim - 1,
+        in `face_masks` order (the cofacets of each ridge, if c is pure),
+        from one pass over the top facets."""
+        index = {m: k for k, m in enumerate(self.face_masks(self.dim - 1))}
+        counts = [0] * len(index)
+        for g in self.face_masks(self.dim):
+            for bit in _bits(g):
+                counts[index[g ^ bit]] += 1
+        return counts
 
     def has_mask(self, mask: int) -> bool:
         """Whether `mask` is a face: inside a facet through its lowest vertex."""

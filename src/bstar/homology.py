@@ -11,9 +11,9 @@ a bit at each face of the cell among the rows its caller names, in plus
 where the face drops the cell's k-th smallest vertex for an even k, in
 minus for an odd k.  A face that is not a row gives no entry.  So
 boundary maps go to the bit-vector kernel of `linalg` over GF(2), GF(3)
-and Q, with no dict on the way.  `_boundary` checks no guard: each
-caller checks the cell guard of `linalg` on the matrix it ranks before
-it builds a column.  The callers name the uncleared faces of a whole
+and Q, with no dict on the way.  `_boundary` checks the cell guard of
+`linalg` on every map before it builds a column, and `linalg._reduce`
+on what it is handed.  The callers name the uncleared faces of a whole
 complex (`betti`, which keeps no column), all the faces of one
 dimension (`_columns`), those inside a subcomplex (its cycles and the
 chains they may bound in), and the top facets through a face with their
@@ -28,12 +28,12 @@ label in `_embedded_face_set`, which maps only its facets.
 
 Pairs and contrastars read the columns of their complex: `_columns`
 builds the map out of all the d-faces, with rows indexed by all the
-(d-1)-faces, once per complex and degree, on first request, and keeps it
-on the complex (`Complex._columns`).  A contrastar drops the columns of
-the star of its face and needs no row mask, as no face of a cell
-outside the star contains the face.  A pair ANDs each column it keeps
-with a mask of its kept rows.  So the contrastars of every face of a
-complex, over every field, build each of its columns once.
+(d-1)-faces, once per shape and degree, on first request, and keeps it
+in the shape memo (`_by_shape`).  A contrastar drops the columns of the
+star of its face and needs no row mask, as no face of a cell outside the
+star contains the face.  A pair ANDs each column it keeps with a mask of
+its kept rows.  So the contrastars of every face, over every field, of
+all the complexes of one shape build each column once.
 
 Every cycle basis comes from `linalg._kernel`, whose vectors over Q are
 integral and unscaled, so a projection or span test meets no
@@ -131,8 +131,9 @@ def _boundary(cells, rows):
     """The boundary map from `cells` to `rows`, face masks one dimension
     apart, as signed pairs (see `linalg`): one column (plus, minus) per
     cell, with a bit at each of its faces that is a row.  A column is as
-    wide as its highest row, so each caller checks the cell guard of
-    `linalg` on the matrix it ranks before any column is built."""
+    wide as its highest row, so the cell guard of `linalg` counts the map
+    before any column is built."""
+    _check_cells(len(rows), len(cells))
     index = {m: i for i, m in enumerate(rows)}
     columns = []
     for m in cells:
@@ -148,16 +149,6 @@ def _boundary(cells, rows):
                     minus |= 1 << i
             positive, rest = not positive, rest ^ bit
         columns.append((plus, minus))
-    return columns
-
-
-def _columns(c: Complex, d: int) -> list[tuple[int, int]]:
-    """The boundary columns of all the d-faces of c, in face order, with
-    rows indexed by all its (d-1)-faces: built once per complex and degree,
-    on first request, and kept in `Complex._columns`."""
-    columns = c._columns.get(d)
-    if columns is None:
-        columns = c._columns[d] = _boundary(c.face_masks(d), c.face_masks(d - 1))
     return columns
 
 
@@ -192,6 +183,14 @@ def _by_shape(fn):
     return memo
 
 
+@_by_shape
+def _columns(c: Complex, d: int) -> list[tuple[int, int]]:
+    """The boundary columns of all the d-faces of c, in face order, with
+    rows indexed by all its (d-1)-faces: built once per shape and degree,
+    on first request."""
+    return _boundary(c.face_masks(d), c.face_masks(d - 1))
+
+
 def _kept_betti(c: Complex, keep, field: FieldSpec, low: int = -1,
                 top: int | None = None) -> tuple[int, ...]:
     """dim H_i, for i = low, ..., top (default dim c), of the cells of c of
@@ -203,15 +202,8 @@ def _kept_betti(c: Complex, keep, field: FieldSpec, low: int = -1,
     of all the kept cells.  Degree -1 is the empty face, so it counts
     only where it is kept: for a contrastar, not for a pair.  Ranked by
     clearing, from the top down (see the module docstring); a map with no
-    rows is rank 0 and not handed to `linalg`.
-
-    With every cell kept (`betti`) the loop builds the uncleared columns
-    it ranks and keeps none.  Otherwise it reads the columns of c
-    (`_columns`), with rows indexed by all the faces one dimension down:
-    a pair masks each column to its kept rows, and a contrastar needs no
-    mask, as no face of a cell outside the star contains the face.
-    Either way the cell guard counts the kept rows and the kept,
-    uncleared columns, before any column is built."""
+    rows is rank 0 and not handed to `linalg`, which counts the kept rows
+    and uncleared columns of every other map under the cell guard."""
     def kept(d):  # the positions of the kept d-faces in c.face_masks(d)
         faces = c.face_masks(d)
         if keep is None:
@@ -240,15 +232,12 @@ def _kept_columns(c: Complex, keep, d: int, cells, cleared: bytearray,
                   rows) -> list[tuple[int, int]]:
     """The columns of `_kept_betti` out of the d-faces of c at the positions
     `cells` that are not `cleared`, onto the kept (d-1)-faces at the
-    positions `rows`, once the cell guard passes them: built here when
-    every cell is kept, else read from `_columns`, and masked to the rows
-    for a pair."""
+    positions `rows`: built here when every cell is kept, else read from
+    `_columns`, and masked to the rows for a pair."""
     if keep is None:  # `cells` is every position: list the faces, not an int per position
-        faces = [m for m, gone in zip(c.face_masks(d), cleared) if not gone]
-        _check_cells(len(rows), len(faces))
-        return _boundary(faces, c.face_masks(d - 1))
+        return _boundary([m for m, gone in zip(c.face_masks(d), cleared) if not gone],
+                         c.face_masks(d - 1))
     cells = [k for k in cells if not cleared[k]]
-    _check_cells(len(rows), len(cells))
     every = _columns(c, d)
     width = len(c.face_masks(d - 1))
     if type(keep) is int or len(rows) == width:
@@ -344,13 +333,11 @@ def _nonbounding_cycle(c: Complex, inside: set[int], around: set[int] | None,
     Each cycle's column is made only when the run reads it.  The cell
     guard counts the boundaries and one cycle."""
     rows, cells = ([m for m in c.face_masks(d) if m in inside] for d in (i - 1, i))
-    _check_cells(len(rows), len(cells))
     cycles = [z for _, z in _kernel(_boundary(cells, rows), len(rows), field)]
     if not cycles:
         return None
     faces, chains = (c.face_masks(d) if around is None
                      else [m for m in c.face_masks(d) if m in around] for d in (i, i + 1))
-    _check_cells(len(faces), len(chains))
     target = _boundary(chains, faces)
     index = {m: j for j, m in enumerate(faces)}
 
@@ -409,7 +396,6 @@ def _star_top_cycles(c: Complex, field: FieldSpec, face_mask: int):
     first = position[cells[0]] if cells else 0  # the cells are in facet order
     bits = [1 << position[g] - first for g in cells]
     rows = dict.fromkeys(g ^ bit for g in cells for bit in _bits(g ^ face_mask))
-    _check_cells(len(rows), len(cells))
     negative = -1 if field.p is None else field.p - 1
     cycles, support = [], 0
     for _, z in _kernel(_boundary(cells, rows), len(rows), field):

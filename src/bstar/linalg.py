@@ -367,14 +367,19 @@ def sparse_rank(columns, nrows: int, field: FieldSpec) -> int:
 def _kernel(columns, nrows: int, field: FieldSpec) -> list[tuple[int, dict]]:
     """The free columns of a sparse matrix over `field` with their records
     (see `_reduce`), each checked to annihilate `columns`: a kernel basis
-    left unscaled, so integral over the rationals, for internal callers."""
+    left unscaled, so integral over the rationals, for internal callers.
+    The check reads a pair column as its dict once per call, however many
+    records hold it."""
     p = field.p
     basis = _reduce(columns, nrows, p, record=True)[1]
+    entries: dict[int, dict] = {}  # column k as a dict, made when a record first holds it
     for _, rec in basis:
         image: dict[int, int] = {}
         for k, x in rec.items():
-            col = columns[k]
-            for i, a in (_signed(*col) if type(col) is tuple else col).items():
+            if k not in entries:
+                col = columns[k]
+                entries[k] = _signed(*col) if type(col) is tuple else col
+            for i, a in entries[k].items():
                 image[i] = image.get(i, 0) + x * a
         if any(s if p is None else _residue(s, p) for s in image.values()):
             raise AssertionError("nullspace vector fails verification")

@@ -14,9 +14,9 @@ which stops at the first failing link, where a walk per decider stops,
 so witnesses stay.  In a pure complex of dimension d the walk reads the
 links of facets and ridges off the facet list: a facet's link is {∅},
 with β = (1), and a ridge in k facets has k points as its link, with
-β = (0, k − 1).  One count of the cofacets of every ridge
-(`_cofacet_counts`, which `_ridges_shared` reads too) gives them all, and
-neither can fail, so only faces of dimension ≤ d − 2 build a link; a
+β = (0, k − 1).  The cofacet counts of the ridges, made once per complex
+(`Complex._ridge_counts`, which `_ridges_shared` reads too), give them
+all, and neither can fail, so only faces of dimension ≤ d − 2 build a link; a
 graph builds none.  A non-pure complex builds the link of every face.
 Each link is built once per shape for every field: the walk over one
 field puts the links' shapes (`Complex._shape`, with no label and their
@@ -53,8 +53,8 @@ sweep called directly, and `check_surjectivity_oracle`, which ranks the
 contrastar Betti numbers, checks every Buchsbaum* verdict independently.
 
 All deciders are pure.  The link walk, its link shapes and the projection
-sweep are memoised by shape (`clear_caches` empties the memo), so the
-deciders add the labels of faces.
+sweep are memoised by shape, as `homology` results are (`clear_caches`
+empties the memo), so the deciders add the labels of faces.
 They walk faces as masks (`_faces_ascending`) and make a vertex tuple only
 to name a face in a witness.
 
@@ -196,16 +196,6 @@ def _link_shapes(c: Complex) -> tuple[list[tuple], dict[tuple, tuple]]:
     return [], {}
 
 
-def _cofacet_counts(c: Complex) -> dict[int, int]:
-    """The number of facets through each ridge of the pure complex c, from
-    one pass over the facets."""
-    counts: dict[int, int] = {}
-    for g in c._facet_masks:
-        for bit in _bits(g):
-            counts[g ^ bit] = counts.get(g ^ bit, 0) + 1
-    return counts
-
-
 @_by_shape
 def _link_walk(c: Complex, f: FieldSpec):
     """Take the link of each nonempty face once, in `_faces_ascending`
@@ -232,8 +222,7 @@ def _link_walk(c: Complex, f: FieldSpec):
             return tuple(tops), face, why
         tops.append(b[-1])
     if pure and d >= 1:
-        counts = _cofacet_counts(c)
-        tops += [counts[r] - 1 for r in c.face_masks(d - 1)]
+        tops += [k - 1 for k in c._ridge_counts]
     if pure and d >= 0:
         tops += [1] * len(c.face_masks(d))
     return tuple(tops), None, None
@@ -286,7 +275,7 @@ def _deletion_sweep(c: Complex, f: FieldSpec, m: int, decider) -> bool:
 def _ridges_shared(c: Complex) -> bool:
     """Every ridge of the pure complex c lies in at least two facets, so
     that every one-vertex deletion stays pure of the same dimension."""
-    return all(k > 1 for k in _cofacet_counts(c).values())
+    return all(k > 1 for k in c._ridge_counts)
 
 
 def _m_fold(c: Complex, f: FieldSpec, m: int, plain, doubly) -> bool:
@@ -530,6 +519,7 @@ def property_report(c: Complex, f: FieldSpec) -> PropertyReport:
 
 
 def clear_caches() -> None:
-    """Empty the one memo table, keyed by shape, that holds the Betti
-    tables, star cycles, link shapes, link walks and projection sweeps."""
+    """Empty the one memo table, keyed by shape, of Betti tables, boundary
+    columns, star cycles, link shapes, link walks and projection sweeps;
+    the facet index and ridge counts of a complex go with the complex."""
     _shapes.clear()

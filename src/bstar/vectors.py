@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 
 from .complexes import Complex, is_flag, link, deletion
-from .homology import BettiTable, _embedded_face_set, betti
+from .homology import BettiTable, _embedded_face_set, _kept_betti, betti
 from .linalg import FieldSpec
 from .properties import is_buchsbaum, is_buchsbaum_star, is_m_cohen_macaulay
 
@@ -123,28 +123,41 @@ def deletion_identity_check(c: Complex, field: FieldSpec) -> dict:
     h_j(c) = h_j(c minus v) + h_{j-1}(link v)            (unconditional)
     h'_j(c) = h'_j(c minus v) + h_{j-1}(link v)          (Buchsbaum* c)
     where the deletion h-vector is taken with the ambient d."""
+    return _deletion_identities(c, (field,))[0]
+
+
+def _deletion_identities(c: Complex, fields) -> list[dict]:
+    """`deletion_identity_check` over each of `fields`, building each
+    vertex's deletion and link once for all of them and keeping neither
+    after its vertex."""
     d = c.dim + 1
     h_c = h_vector(c)
-    bstar = bool(is_buchsbaum_star(c, field))
-    hp_c = _h_prime(h_c, betti(c, field), d) if bstar else None
-    result = {"h_identity": "pass", "h_prime_identity": "pass" if bstar
-              else "skipped: not Buchsbaum* over " + str(field),
-              "first_violation": None}
+    results, h_primes = [], []  # h' of c over each field, None where its identity is skipped
+    for f in fields:
+        bstar = bool(is_buchsbaum_star(c, f))
+        h_primes.append(_h_prime(h_c, betti(c, f), d) if bstar else None)
+        results.append({"h_identity": "pass", "h_prime_identity": "pass" if bstar
+                        else "skipped: not Buchsbaum* over " + str(f), "first_violation": None})
     for v in range(c.n_vertices):
+        pending = [k for k, result in enumerate(results) if not result["first_violation"]]
+        if not pending:
+            break
         rest = deletion(c, [v])
         h_rest = h_vector(rest, d)
         h_lk = (0, *h_vector(link(c, [v]), d - 1))  # h_{j-1}(link v) at j
-        checks = [("h", h_c, h_rest)]
-        if bstar:
-            checks.append(("h_prime", hp_c, _h_prime(h_rest, betti(rest, field), d)))
-        for name, whole, part in checks:
-            for j in range(d + 1):
-                if whole[j] != part[j] + h_lk[j]:
-                    result[name + "_identity"] = "fail"
-                    result["first_violation"] = {"identity": name, "vertex": str(c.labels[v]),
-                                                 "j": j, "lhs": whole[j], "rhs": part[j] + h_lk[j]}
-                    return result
-    return result
+        for k in pending:
+            checks = [("h", h_c, h_rest)]
+            if h_primes[k]:  # ranked, not memoised: the memo would keep every deletion's shape
+                b = BettiTable(fields[k], _kept_betti(rest, None, fields[k]))
+                checks.append(("h_prime", h_primes[k], _h_prime(h_rest, b, d)))
+            for name, whole, part in checks:
+                j = next((j for j in range(d + 1) if whole[j] != part[j] + h_lk[j]), None)
+                if j is not None:
+                    results[k][name + "_identity"] = "fail"
+                    results[k]["first_violation"] = {"identity": name, "vertex": str(c.labels[v]),
+                                                     "j": j, "lhs": whole[j], "rhs": part[j] + h_lk[j]}
+                    break
+    return results
 
 
 def flag_bound_check(c: Complex, field: FieldSpec) -> dict:

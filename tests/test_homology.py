@@ -150,7 +150,9 @@ def test_pairs_and_contrastars_read_the_columns_their_complex_built_once(c, k):
                             == relative_betti_by_full_ranks(c, excluded, f, i))
             for i in range(-1, c.dim + 1):
                 assert contrastar_betti(c, t, f, i) == betti(cost, f).at(i)
-    assert all(len(columns) == len(c.face_masks(d)) for d, columns in c._columns.items())
+    memo = homology._shapes[c._shape]
+    assert all(len(memo[key]) == len(c.face_masks(key[1]))
+               for key in memo if key[0] is homology._columns.__wrapped__)
 
 
 def test_contrastar_betti_refuses_what_contrastar_refuses(torus):
@@ -239,6 +241,63 @@ def test_betti_refuses_a_map_above_the_cell_guard_before_building_it(monkeypatch
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_contrastar_counts_the_full_map_it_reads_under_the_cell_guard(monkeypatch):
+    # degree 1 of the contrastar of a vertex of the octahedron ranks its 4
+    # triangles on its 8 edges, read from the map out of all 8 triangles
+    # on all 12 edges, which the guard counts where it is built
+    clear_caches()  # a memoised map is read, not built
+    monkeypatch.setattr(linalg, "_max_cells", 50)
+    with pytest.raises(LinalgGuardError, match="12x8 cells"):
+        contrastar_betti(cross_polytope(3), (0,), QQ, 1)
+
+
+def test_a_contrastar_refuses_a_full_map_above_the_cell_guard_before_building_it(monkeypatch):
+    # degree 0 of the contrastar of a vertex of a 6000-cycle ranks 5998
+    # edges on 5999 vertices, below the guard set here, but reads them from
+    # the map out of every edge, 6000 x 6000 cells, one above it; its pair
+    # columns would take about n^2 / 8 bytes (4.5 MB), and none is built
+    n = 6000
+    c = cycle(n)
+    c.f_vector()  # the faces and the facet index are built outside the measurement
+    c.has_mask(1)
+    clear_caches()
+    monkeypatch.setattr(linalg, "_max_cells", n * n - 1)
+    tracemalloc.start()
+    try:
+        for field in FIELDS:
+            with pytest.raises(LinalgGuardError, match=f"{n}x{n} cells"):
+                contrastar_betti(c, (0,), field, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_complexes_of_one_shape_build_each_degree_of_columns_once(monkeypatch):
+    built = []
+    boundary = homology._boundary
+
+    def counting_boundary(cells, rows):
+        built.append(len(cells))
+        return boundary(cells, rows)
+
+    monkeypatch.setattr(homology, "_boundary", counting_boundary)
+    c = cross_polytope(3)
+    relabelled = from_facets([[f"v{v}" for v in f] for f in c.facets])
+    assert relabelled._shape == c._shape and relabelled.labels != c.labels
+    clear_caches()
+    for a in (c, relabelled):
+        for f in FIELDS:
+            for t in (t for d in range(a.dim + 1) for t in a.faces(d)):
+                for i in range(-1, a.dim + 1):
+                    contrastar_betti(a, t, f, i)
+    assert sum(built) == 6 + 12 + 8  # the vertices, edges and triangles, once
+    clear_caches()
+    built.clear()
+    contrastar_betti(relabelled, (0,), QQ, 1)
+    assert built == [8, 12]  # the maps out of the triangles and the edges, again
 
 
 def test_subcomplex_embedding_keeps_the_face_guard(monkeypatch):

@@ -350,3 +350,25 @@ def test_signed_kernel_falls_back_on_rp2():
     for p, rank in ((None, 10), (3, 10), (2, 9)):
         assert linalg._reduce(columns, nrows, p, True) == linalg._reduce_dict(dicts, p, True)
         assert len(linalg._reduce(columns, nrows, p)[0]) == rank
+
+
+def test_kernel_reads_each_pair_column_as_a_dict_once(monkeypatch):
+    # the boundary of the complete graph on 4 vertices: its 3 kernel
+    # vectors are the triangles through vertex 0, which share the edges at
+    # 0, and the check against the columns reads each edge once
+    converted = []
+    signed = linalg._signed
+
+    def counting_signed(*args):
+        if len(args) == 2:  # a column read as its dict; a record passes its sign too
+            converted.append(args)
+        return signed(*args)
+
+    monkeypatch.setattr(linalg, "_signed", counting_signed)
+    columns = [(1 << b, 1 << a) for a in range(4) for b in range(a + 1, 4)]
+    for field in (QQ, GF2, FieldSpec(3), FieldSpec(5)):
+        converted.clear()
+        kernel = linalg._kernel(columns, 4, field)
+        assert len(kernel) == 3
+        assert sum(len(rec) for _, rec in kernel) == 9  # each edge at 0 in two records
+        assert sorted(converted) == sorted(columns)

@@ -561,6 +561,25 @@ def theta(n: int, first: int = 0) -> list[tuple[int, int]]:
     return [(vs[i], vs[(i + 1) % n]) for i in range(n)] + [(0, vs[n // 2])]
 
 
+def test_a_two_field_report_counts_the_ridges_of_its_complex_once(monkeypatch):
+    # the link walk over each field and the ridge test of doubly CM over
+    # each field all read the one count kept on the complex
+    counted = []
+    ridge_counts = Complex.__dict__["_ridge_counts"]
+    count = ridge_counts.func
+
+    def counting(c):
+        counted.append(c)
+        return count(c)
+
+    monkeypatch.setattr(ridge_counts, "func", counting)
+    clear_caches()
+    c = from_facets(theta(20))
+    for f in (QQ, GF2):
+        assert property_report(c, f).verdicts["cohen_macaulay"]  # so doubly CM reads the count
+    assert counted == [c]
+
+
 def test_large_graphs_get_the_paper_verdicts():
     # a graph is Buchsbaum* exactly when every component is 2-connected:
     # theta(4000) is, two theta(2000) glued at vertex 0 are not

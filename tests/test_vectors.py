@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bstar import vectors
 from bstar.complexes import from_facets
 from bstar.constructions import (cross_polytope, example_2_10_i, simplex,
                                  simplex_boundary, stacked_sphere, torus7)
@@ -12,7 +13,8 @@ from bstar.linalg import GF2, QQ
 from bstar.vectors import (conjecture_probe, deletion_identity_check,
                            face_vectors, flag_bound_check, h_vector, lbt_check,
                            m_vector_check, macaulay_bound, monotonicity_check,
-                           stacked_face_counts)
+                           stacked_face_counts, _deletion_identities)
+from bstar.theorems import check_vector_identities
 
 
 def test_octahedron_vectors(octahedron):
@@ -195,3 +197,31 @@ def test_h_top_euler(c):
     f = c.f_vector()
     chi = sum((-1) ** i * f[i + 1] for i in range(-1, c.dim + 1))
     assert h_vector(c)[d] == (-1) ** (d - 1) * chi
+
+
+def test_vector_identities_build_each_deletion_once_for_every_field(monkeypatch):
+    # only the Betti table of a deletion depends on the field, so the
+    # second field builds no deletion and no link
+    built = []
+
+    def counting(build):
+        def counted(c, face):
+            built.append((build.__name__, list(face)))
+            return build(c, face)
+        return counted
+
+    for name in ("deletion", "link"):
+        monkeypatch.setattr(vectors, name, counting(getattr(vectors, name)))
+    entries = [("octahedron", cross_polytope(3)), ("torus", torus7())]
+    assert check_vector_identities(entries, (QQ,)).passed
+    one_field = list(built)
+    built.clear()
+    assert check_vector_identities(entries, (QQ, GF2)).passed
+    assert built == one_field
+    assert len(built) == 2 * (6 + 7)  # a deletion and a link per vertex
+
+
+def test_deletion_identity_check_is_the_same_over_each_field_alone_and_together():
+    for c in (cross_polytope(3), torus7(), example_2_10_i(), stacked_sphere(8, 3)):
+        fields = (QQ, GF2)
+        assert _deletion_identities(c, fields) == [deletion_identity_check(c, f) for f in fields]
